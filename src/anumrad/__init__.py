@@ -17,7 +17,6 @@ from .bounds import (
     cartesian_form_norm,
     classic_bounds,
     commutator_compare,
-    commutator_lemma,
     commutator_th5,
     equality_half_norm,
     equality_quarter_form,

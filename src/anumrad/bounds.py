@@ -1,6 +1,12 @@
 """Inequality evaluators: classical bounds, refinements, equality
 characterizations, and commutator upper bounds.
 
+The evaluators read the per-operator norms cached on :class:`AOperator`
+(``seminorm``, ``part_norms``, ``form_norm``), so each is computed once per
+operator however many bounds use it. The commutator bounds share one radius
+scan of TX +- YT per sign, and each equality diagnostic evaluates the phase
+profile once.
+
 Every check is emitted as a :class:`BoundReport` whose slack is oriented so
 that "holds" always means slack >= -check_rel_tol * scale. Where w_A(T)
 appears on a side of an inequality, the enclosure is used conservatively:
@@ -15,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, spectral_norm
-from .radius import DiskTestResult, RadiusEstimate, disk_test, phase_profile, radius_theta_scan
+from .linalg import DimensionMismatchError
+from .radius import DiskTestResult, RadiusEstimate, _disk_verdict, phase_profile, radius_theta_scan
 from .space import AOperator, PsdContext, make_a_operator
 
 SQRT2 = math.sqrt(2.0)
@@ -80,20 +86,9 @@ def _report(formula_id: str, lhs: float, rhs: float, ctx: PsdContext, kind: str)
     return BoundReport(formula_id, lhs, rhs, slack, holds, tight, scale)
 
 
-def _part_norms(op: AOperator):
-    """Norms of Re_A(T), Im_A(T) and their sum/difference, via the compressed
-    Hermitian parts (exact images of the A-Cartesian parts)."""
-    re_n = spectral_norm(op.h_re)
-    im_n = spectral_norm(op.h_im)
-    sum_n = spectral_norm(op.h_re + op.h_im)
-    diff_n = spectral_norm(op.h_re - op.h_im)
-    return re_n, im_n, sum_n, diff_n
-
-
 def cartesian_form_norm(op: AOperator) -> float:
-    """||T#A T + T T#A||_A, computed as ||C*C + CC*|| in compressed form."""
-    c = op.compressed
-    return spectral_norm(c.conj().T @ c + c @ c.conj().T)
+    """||T#A T + T T#A||_A, as cached on the operator."""
+    return op.form_norm
 
 
 def classic_bounds(op: AOperator, rad: RadiusEstimate) -> list[BoundReport]:
@@ -101,7 +96,7 @@ def classic_bounds(op: AOperator, rad: RadiusEstimate) -> list[BoundReport]:
     ||T||_A/2 <= w_A(T) <= ||T||_A and ||D||_A/4 <= w_A^2(T) <= ||D||_A/2
     with D = T#A T + T T#A."""
     norm = op.seminorm
-    dnorm = cartesian_form_norm(op)
+    dnorm = op.form_norm
     ctx = op.ctx
     return [
         _report("eqv_lower", rad.lower, norm / 2.0, ctx, "lower"),
@@ -114,7 +109,7 @@ def classic_bounds(op: AOperator, rad: RadiusEstimate) -> list[BoundReport]:
 def bound_th1(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
     """w_A(T) >= ||T||_A/2 + | ||Re_A(T)||_A - ||Im_A(T)||_A | / 2."""
     rad = rad if rad is not None else radius_theta_scan(op)
-    re_n, im_n, _, _ = _part_norms(op)
+    re_n, im_n, _, _ = op.part_norms
     rhs = op.seminorm / 2.0 + abs(re_n - im_n) / 2.0
     return _report("th1", rad.lower, rhs, op.ctx, "lower")
 
@@ -122,15 +117,15 @@ def bound_th1(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
 def bound_th2(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
     """w_A(T) >= sqrt(||D||_A/4 + | ||Re_A(T)||^2 - ||Im_A(T)||^2 | / 2)."""
     rad = rad if rad is not None else radius_theta_scan(op)
-    re_n, im_n, _, _ = _part_norms(op)
-    rhs = math.sqrt(cartesian_form_norm(op) / 4.0 + abs(re_n**2 - im_n**2) / 2.0)
+    re_n, im_n, _, _ = op.part_norms
+    rhs = math.sqrt(op.form_norm / 4.0 + abs(re_n**2 - im_n**2) / 2.0)
     return _report("th2", rad.lower, rhs, op.ctx, "lower")
 
 
 def bound_th3(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
     """w_A(T) >= ||T||_A/2 + | ||Re+Im||_A - ||Re-Im||_A | / (2 sqrt 2)."""
     rad = rad if rad is not None else radius_theta_scan(op)
-    _, _, sum_n, diff_n = _part_norms(op)
+    _, _, sum_n, diff_n = op.part_norms
     rhs = op.seminorm / 2.0 + abs(sum_n - diff_n) / (2.0 * SQRT2)
     return _report("th3", rad.lower, rhs, op.ctx, "lower")
 
@@ -138,25 +133,27 @@ def bound_th3(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
 def bound_th4(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
     """w_A(T) >= sqrt(||D||_A/4 + | ||Re+Im||^2 - ||Re-Im||^2 | / 4)."""
     rad = rad if rad is not None else radius_theta_scan(op)
-    _, _, sum_n, diff_n = _part_norms(op)
-    rhs = math.sqrt(cartesian_form_norm(op) / 4.0 + abs(sum_n**2 - diff_n**2) / 4.0)
+    _, _, sum_n, diff_n = op.part_norms
+    rhs = math.sqrt(op.form_norm / 4.0 + abs(sum_n**2 - diff_n**2) / 4.0)
     return _report("th4", rad.lower, rhs, op.ctx, "lower")
 
 
 def _equality_diag(op, rad, grid_n, case_id, target):
+    if grid_n < 8 or grid_n % 2:
+        raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")
     ctx = op.ctx
     eq_tol = ctx.tol.equality_rel_tol
     equality_holds = abs(rad.lower - target) <= eq_tol * max(rad.lower, target, ctx.lam_max)
-    thetas = np.arange(grid_n) * (math.pi / grid_n)
-    re_vals = phase_profile(op, thetas)
-    im_vals = phase_profile(op, thetas - math.pi / 2.0)
-    dev = max(np.abs(re_vals - target).max(), np.abs(im_vals - target).max())
-    re_im_constant = dev <= eq_tol * max(target, ctx.lam_max)
+    # Im_A(e^{i theta}T) = Re_A(e^{i(theta - pi/2)}T) and f has period pi, so
+    # on an even grid the Im profile is this Re profile rolled by grid_n/2
+    # steps: one evaluation serves both checks and the disk test.
+    vals = phase_profile(op, np.arange(grid_n) * (math.pi / grid_n))
+    re_im_constant = np.abs(vals - target).max() <= eq_tol * max(target, ctx.lam_max)
     return EqualityDiagnostic(
         case_id=case_id,
         equality_holds=bool(equality_holds),
         re_im_constant=bool(re_im_constant),
-        disk=disk_test(op, grid_n),
+        disk=_disk_verdict(op, vals),
         target=target,
     )
 
@@ -164,13 +161,13 @@ def _equality_diag(op, rad, grid_n, case_id, target):
 def equality_half_norm(op: AOperator, rad: RadiusEstimate, grid_n: int = 360) -> EqualityDiagnostic:
     """Diagnose w_A(T) = ||T||_A / 2: equality forces both Cartesian-part
     profiles to sit at the target for every theta and W_A(T) to be the
-    origin disk of radius ||T||_A / 2."""
+    origin disk of radius ||T||_A / 2. grid_n must be even."""
     return _equality_diag(op, rad, grid_n, "half_norm", op.seminorm / 2.0)
 
 
 def equality_quarter_form(op: AOperator, rad: RadiusEstimate, grid_n: int = 360) -> EqualityDiagnostic:
     """Diagnose w_A(T) = sqrt(||T#A T + T T#A||_A / 4), analogously."""
-    target = math.sqrt(cartesian_form_norm(op) / 4.0)
+    target = math.sqrt(op.form_norm / 4.0)
     return _equality_diag(op, rad, grid_n, "quarter_form", target)
 
 
@@ -195,15 +192,6 @@ def _generalized_commutator_radius(op_t, op_x, op_y, sign, grid_n) -> float:
     return radius_theta_scan(make_a_operator(ctx, prod), grid_n).upper
 
 
-def commutator_lemma(
-    op_t: AOperator, op_x: AOperator, op_y: AOperator, sign: str = "-", grid_n: int = 720
-) -> BoundReport:
-    """w_A(TX +- YT) <= max(||X||_A, ||Y||_A) sqrt(2 ||T#A T + T T#A||_A)."""
-    lhs = _generalized_commutator_radius(op_t, op_x, op_y, sign, grid_n)
-    rhs = max(op_x.seminorm, op_y.seminorm) * math.sqrt(2.0 * cartesian_form_norm(op_t))
-    return _report("lem1", lhs, rhs, op_t.ctx, "upper")
-
-
 def commutator_th5(
     op_t: AOperator,
     op_x: AOperator,
@@ -211,19 +199,27 @@ def commutator_th5(
     sign: str = "-",
     rad_t: RadiusEstimate | None = None,
     grid_n: int = 720,
-) -> tuple[BoundReport, BoundReport]:
-    """The two refined commutator bounds; the radicands w^2 - c are clamped
-    at zero (c <= w^2 is guaranteed, negativity is rounding noise)."""
+) -> tuple[BoundReport, BoundReport, BoundReport]:
+    """All three upper bounds on w_A(TX +- YT), from one radius scan of it:
+    lem1, max(||X||_A, ||Y||_A) sqrt(2 ||T#A T + T T#A||_A), then the two
+    refined bounds th5_i and th5_ii. Their radicands w^2 - c are clamped at
+    zero (c <= w^2 is guaranteed, negativity is rounding noise)."""
     _require_same_context(op_t, op_x, op_y)
     rad_t = rad_t if rad_t is not None else radius_theta_scan(op_t, grid_n)
     lhs = _generalized_commutator_radius(op_t, op_x, op_y, sign, grid_n)
-    factor = 2.0 * SQRT2 * max(op_x.seminorm, op_y.seminorm)
-    re_n, im_n, sum_n, diff_n = _part_norms(op_t)
+    norm_xy = max(op_x.seminorm, op_y.seminorm)
+    factor = 2.0 * SQRT2 * norm_xy
+    re_n, im_n, sum_n, diff_n = op_t.part_norms
     w_sq = rad_t.upper**2
+    rhs_lem = norm_xy * math.sqrt(2.0 * op_t.form_norm)
     rhs_i = factor * math.sqrt(max(w_sq - abs(re_n**2 - im_n**2) / 2.0, 0.0))
     rhs_ii = factor * math.sqrt(max(w_sq - abs(sum_n**2 - diff_n**2) / 4.0, 0.0))
     ctx = op_t.ctx
-    return _report("th5_i", lhs, rhs_i, ctx, "upper"), _report("th5_ii", lhs, rhs_ii, ctx, "upper")
+    return (
+        _report("lem1", lhs, rhs_lem, ctx, "upper"),
+        _report("th5_i", lhs, rhs_i, ctx, "upper"),
+        _report("th5_ii", lhs, rhs_ii, ctx, "upper"),
+    )
 
 
 def commutator_compare(
@@ -240,8 +236,8 @@ def commutator_compare(
     rad_s = rad_s if rad_s is not None else radius_theta_scan(op_s, grid_n)
     wt, ws = rad_t.upper, rad_s.upper
     nt, ns = op_t.seminorm, op_s.seminorm
-    re_t, im_t, sum_t, diff_t = _part_norms(op_t)
-    re_s, im_s, sum_s, diff_s = _part_norms(op_s)
+    re_t, im_t, sum_t, diff_t = op_t.part_norms
+    re_s, im_s, sum_s, diff_s = op_s.part_norms
 
     alpha1 = ns * math.sqrt(max(wt**2 - abs(re_t**2 - im_t**2) / 2.0, 0.0))
     alpha2 = nt * math.sqrt(max(ws**2 - abs(re_s**2 - im_s**2) / 2.0, 0.0))

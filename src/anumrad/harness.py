@@ -23,14 +23,20 @@ from .bounds import (
     bound_th4,
     classic_bounds,
     commutator_compare,
-    commutator_lemma,
     commutator_th5,
     equality_half_norm,
     equality_quarter_form,
 )
 from .linalg import TolerancePolicy, spectral_norm
 from .radius import RadiusEstimate, radius_sampling, radius_theta_scan
-from .space import AOperator, PsdContext, is_adjointable, make_a_operator, psd_decompose
+from .space import (
+    AOperator,
+    NotAdjointableError,
+    PsdContext,
+    is_adjointable,
+    make_a_operator,
+    psd_decompose,
+)
 
 CONSTRUCTIONS = (
     "random",
@@ -88,12 +94,6 @@ def _random_psd(rng, n, rank, scale=1.0):
     return (a + a.conj().T) / 2.0
 
 
-def _range_projector(a):
-    w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
-    keep = w > 1e-10 * max(w[-1], 0.0) if w[-1] > 0 else w > np.inf
-    return (u * keep.astype(float)) @ u.conj().T
-
-
 def gen_instance(spec: InstanceSpec):
     """Generate (A, T) deterministically from the spec.
 
@@ -114,7 +114,7 @@ def gen_instance(spec: InstanceSpec):
         a = _random_psd(rng, n, rank)
         t = _complex_gaussian(rng, (n, n), spec.scale)
         if rank < n:
-            p = _range_projector(a)
+            p = psd_decompose(a).proj
             t = p @ t @ p
         return a, t
 
@@ -175,7 +175,6 @@ class SuiteConfig:
     n_samples: int = 10_000
     constructions: tuple = ("random",)
     tol: TolerancePolicy = field(default_factory=TolerancePolicy)
-    with_commutators: bool = True
     equality_grid_n: int = 180
 
     def instance_specs(self) -> list[InstanceSpec]:
@@ -222,13 +221,14 @@ class InstanceEvaluation:
 def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -> InstanceEvaluation:
     a, t = gen_instance(spec)
     ctx = psd_decompose(a, config.tol)
-    if not is_adjointable(ctx, t):
+    try:
+        op = make_a_operator(ctx, t)
+    except NotAdjointableError:
         ev = InstanceEvaluation(index=index, spec=spec, adjointable=False, ctx=ctx)
         if spec.construction != "nonadjointable_probe":
             ev.violations.append(f"[{index}] unexpected non-adjointable instance")
         return ev
 
-    op = make_a_operator(ctx, t)
     rad = radius_theta_scan(op, config.grid_n, refine=True)
     sampled = radius_sampling(op, config.n_samples, seed=spec.seed + 1)
     ev = InstanceEvaluation(
@@ -253,22 +253,20 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
         if diag.equality_holds and not (diag.re_im_constant and diag.disk.is_disk):
             ev.violations.append(f"[{index}] equality {diag.case_id} without its necessity conditions")
 
-    if config.with_commutators:
-        ev.partner = gen_partner(ctx, [spec.seed, 1])
-        ev.op_x = gen_partner(ctx, [spec.seed, 2])
-        ev.op_y = gen_partner(ctx, [spec.seed, 3])
-        for sign in ("+", "-"):
-            ev.reports.append(commutator_lemma(op, ev.op_x, ev.op_y, sign, config.grid_n))
-            ev.reports.extend(commutator_th5(op, ev.op_x, ev.op_y, sign, rad, config.grid_n))
-        rad_s = radius_theta_scan(ev.partner, config.grid_n)
-        cmp = commutator_compare(op, ev.partner, rad, rad_s, config.grid_n)
-        ev.comparison = cmp
-        tolc = config.tol.check_rel_tol * max(cmp.zamani_bound, ctx.lam_max)
-        if cmp.refined31 > cmp.zamani_bound + tolc or cmp.refined32 > cmp.zamani_bound + tolc:
-            ev.violations.append(f"[{index}] refined commutator bound exceeds baseline")
-        for w in (cmp.w_plus, cmp.w_minus):
-            if w > min(cmp.refined31, cmp.refined32) + tolc:
-                ev.violations.append(f"[{index}] commutator radius exceeds refined bound")
+    ev.partner = gen_partner(ctx, [spec.seed, 1])
+    ev.op_x = gen_partner(ctx, [spec.seed, 2])
+    ev.op_y = gen_partner(ctx, [spec.seed, 3])
+    for sign in ("+", "-"):
+        ev.reports.extend(commutator_th5(op, ev.op_x, ev.op_y, sign, rad, config.grid_n))
+    rad_s = radius_theta_scan(ev.partner, config.grid_n)
+    cmp = commutator_compare(op, ev.partner, rad, rad_s, config.grid_n)
+    ev.comparison = cmp
+    tolc = config.tol.check_rel_tol * max(cmp.zamani_bound, ctx.lam_max)
+    if cmp.refined31 > cmp.zamani_bound + tolc or cmp.refined32 > cmp.zamani_bound + tolc:
+        ev.violations.append(f"[{index}] refined commutator bound exceeds baseline")
+    for w in (cmp.w_plus, cmp.w_minus):
+        if w > min(cmp.refined31, cmp.refined32) + tolc:
+            ev.violations.append(f"[{index}] commutator radius exceeds refined bound")
 
     for report in ev.reports:
         if not report.holds:

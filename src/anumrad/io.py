@@ -11,10 +11,9 @@ import json
 
 import numpy as np
 
-from .bounds import BoundReport, CommutatorComparison, EqualityDiagnostic
-from .harness import InstanceEvaluation, SuiteConfig, SuiteReport
+from .harness import InstanceEvaluation, SuiteReport
 from .linalg import as_square_matrix
-from .radius import RadiusEstimate, RangeCloud
+from .radius import RangeCloud
 
 MATRIX_KEYS = ("A", "T", "S", "X", "Y")
 
@@ -78,59 +77,38 @@ def cloud_to_csv(cloud: RangeCloud, fp) -> None:
 
 
 def _plain(value):
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
     return value
 
 
-def radius_to_dict(rad: RadiusEstimate) -> dict:
-    return {k: _plain(v) for k, v in dataclasses.asdict(rad).items()}
-
-
-def report_to_dict(report: BoundReport) -> dict:
-    return {k: _plain(v) for k, v in dataclasses.asdict(report).items()}
-
-
-def diagnostic_to_dict(diag: EqualityDiagnostic) -> dict:
-    return {
-        "case_id": diag.case_id,
-        "equality_holds": diag.equality_holds,
-        "re_im_constant": diag.re_im_constant,
-        "disk": {
-            "is_disk": diag.disk.is_disk,
-            "radius_k": diag.disk.radius_k,
-            "max_deviation": diag.disk.max_deviation,
-        },
-        "target": diag.target,
-    }
-
-
-def comparison_to_dict(cmp: CommutatorComparison) -> dict:
-    return {k: _plain(v) for k, v in dataclasses.asdict(cmp).items()}
+def to_dict(obj) -> dict:
+    """A result dataclass (nested ones included) as a JSON-ready dict."""
+    return _plain(dataclasses.asdict(obj))
 
 
 def evaluation_to_dict(ev: InstanceEvaluation) -> dict:
     out = {
         "index": ev.index,
-        "spec": dataclasses.asdict(ev.spec),
+        "spec": to_dict(ev.spec),
         "adjointable": ev.adjointable,
         "violations": list(ev.violations),
     }
     if ev.rad is not None:
-        out["radius"] = radius_to_dict(ev.rad)
+        out["radius"] = to_dict(ev.rad)
     if ev.sampled is not None:
         out["sampled"] = ev.sampled
-    out["reports"] = [report_to_dict(r) for r in ev.reports]
-    out["diagnostics"] = [diagnostic_to_dict(d) for d in ev.diagnostics]
+    out["reports"] = [to_dict(r) for r in ev.reports]
+    out["diagnostics"] = [to_dict(d) for d in ev.diagnostics]
     if ev.comparison is not None:
-        out["commutator_comparison"] = comparison_to_dict(ev.comparison)
+        out["commutator_comparison"] = to_dict(ev.comparison)
     return out
 
 
 def suite_report_to_dict(report: SuiteReport) -> dict:
-    config = dataclasses.asdict(report.config)
+    config = to_dict(report.config)
     config["dims"] = list(report.config.dims)
     config["constructions"] = list(report.config.constructions)
     return {

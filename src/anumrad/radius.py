@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import LinAlgInputError
-from .space import AOperator, NotAdjointableError
+from .space import AOperator
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -121,8 +121,6 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     within the argmax cell can only raise it and never touches the
     grid-based upper certificate.
     """
-    if not op.adjointable:
-        raise NotAdjointableError("radius scan requires an adjointable operator")
     if grid_n < 4:
         raise ValueError(f"grid_n must be >= 4, got {grid_n}")
     delta = math.pi / grid_n
@@ -161,8 +159,6 @@ def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> fl
     near-null draws, and normalizes. Deterministic for a fixed seed; never
     exceeds the true radius. Returns 0 for rank(A) = 0.
     """
-    if not op.adjointable:
-        raise NotAdjointableError("sampling oracle requires an adjointable operator")
     ctx = op.ctx
     if ctx.rank == 0:
         return 0.0
@@ -192,8 +188,6 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     Re(e^{i theta} z) over W_A(T). Random unit vectors in range(A) supply
     interior points (theta recorded as nan).
     """
-    if not op.adjointable:
-        raise NotAdjointableError("range cloud requires an adjointable operator")
     ctx = op.ctx
     if ctx.rank == 0:
         raise DegenerateRankError("W_A(T) is empty when A = 0")
@@ -223,12 +217,13 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
 
 def disk_test(op: AOperator, n_theta: int = 360) -> DiskTestResult:
     """Constant-support-function test for W_A(T) being an origin disk."""
-    if not op.adjointable:
-        raise NotAdjointableError("disk test requires an adjointable operator")
     if n_theta < 8:
         raise ValueError(f"n_theta must be >= 8, got {n_theta}")
-    thetas = np.arange(n_theta) * (math.pi / n_theta)
-    vals = phase_profile(op, thetas)
+    return _disk_verdict(op, phase_profile(op, np.arange(n_theta) * (math.pi / n_theta)))
+
+
+def _disk_verdict(op: AOperator, vals: np.ndarray) -> DiskTestResult:
+    """Disk verdict from profile values on a uniform grid over [0, pi)."""
     radius_k = float(vals.mean())
     max_dev = float(np.abs(vals - radius_k).max())
     threshold = op.ctx.tol.equality_rel_tol * max(radius_k, op.ctx.lam_max)

@@ -10,6 +10,7 @@ to that context with its A-adjoint and Cartesian parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -136,11 +137,11 @@ class AOperator:
     ``compressed`` is A^{1/2} T (A^{1/2})+, the similarity under which all
     A-seminorms become ordinary spectral norms; ``h_re``/``h_im`` are its
     Hermitian and skew parts, i.e. the compressions of Re_A(T) and Im_A(T).
+    The norms every bound needs are computed on first use and cached.
     """
 
     ctx: PsdContext
     t: np.ndarray
-    adjointable: bool
     sharp: np.ndarray
     re_a: np.ndarray
     im_a: np.ndarray
@@ -149,12 +150,29 @@ class AOperator:
     h_im: np.ndarray = field(repr=False)
     seminorm: float = 0.0
 
+    @cached_property
+    def part_norms(self) -> tuple[float, float, float, float]:
+        """||Re_A(T)||_A, ||Im_A(T)||_A, ||Re + Im||_A and ||Re - Im||_A, via
+        the compressed Hermitian parts (exact images of the Cartesian parts)."""
+        return (
+            spectral_norm(self.h_re),
+            spectral_norm(self.h_im),
+            spectral_norm(self.h_re + self.h_im),
+            spectral_norm(self.h_re - self.h_im),
+        )
+
+    @cached_property
+    def form_norm(self) -> float:
+        """||T#A T + T T#A||_A, computed as ||C*C + CC*|| in compressed form."""
+        c = self.compressed
+        return spectral_norm(c.conj().T @ c + c @ c.conj().T)
+
 
 def make_a_operator(ctx: PsdContext, t) -> AOperator:
     """Construct the A-adjoint T#A = A+ T* A and the Cartesian parts of T.
 
-    Raises NotAdjointableError when T violates the Douglas condition; the
-    caller is expected to classify such T via :func:`is_adjointable` first.
+    Raises NotAdjointableError when T violates the Douglas condition, so
+    every AOperator is adjointable.
     """
     arr = as_square_matrix(t, ctx.dim)
     if not is_adjointable(ctx, arr):
@@ -168,7 +186,6 @@ def make_a_operator(ctx: PsdContext, t) -> AOperator:
     return AOperator(
         ctx=ctx,
         t=arr,
-        adjointable=True,
         sharp=sharp,
         re_a=re_a,
         im_a=im_a,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,14 +13,15 @@ from anumrad import (
     cartesian_form_norm,
     classic_bounds,
     commutator_compare,
-    commutator_lemma,
     commutator_th5,
     equality_half_norm,
     equality_quarter_form,
     make_a_operator,
     psd_decompose,
     radius_theta_scan,
+    spectral_norm,
 )
+from anumrad.io import to_dict
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SQRT2 = math.sqrt(2.0)
@@ -39,6 +41,16 @@ class TestCartesianFormNorm:
     def test_diagonal(self):
         op, _ = prepared(np.eye(2), np.diag([1.0 + 1.0j, 0.0]))
         assert cartesian_form_norm(op) == pytest.approx(4.0, rel=1e-12)
+
+    def test_norms_cached_on_operator(self):
+        op, _ = prepared(np.diag([2.0, 1.0]), np.array([[1.0, 2.0j], [0.5, -1.0]]))
+        assert cartesian_form_norm(op) is op.form_norm
+        assert op.part_norms is op.part_norms
+        re_n, im_n, sum_n, diff_n = op.part_norms
+        assert re_n == spectral_norm(op.h_re)
+        assert im_n == spectral_norm(op.h_im)
+        assert sum_n == spectral_norm(op.h_re + op.h_im)
+        assert diff_n == spectral_norm(op.h_re - op.h_im)
 
 
 class TestClassicBounds:
@@ -155,6 +167,37 @@ class TestEqualityDiagnostics:
         assert diag.equality_holds
         assert diag.re_im_constant and diag.disk.is_disk
 
+    def test_selfadjoint_quarter_form_fails(self):
+        # ||D||_A = 2 gives target 1/sqrt 2 < w = 1, and f = |cos| is not flat
+        op, rad = prepared(np.eye(2), np.diag([1.0, -1.0]))
+        diag = equality_quarter_form(op, rad)
+        assert diag.target == pytest.approx(1.0 / SQRT2, rel=1e-12)
+        assert not diag.equality_holds
+        assert not diag.re_im_constant
+        assert not diag.disk.is_disk
+
+    def test_jordan_verdicts_on_small_even_grid(self):
+        op, rad = prepared(np.eye(2), JORDAN)
+        for diag in (equality_half_norm(op, rad, 8), equality_quarter_form(op, rad, 8)):
+            assert diag.equality_holds and diag.re_im_constant and diag.disk.is_disk
+
+    @pytest.mark.parametrize("grid_n", [181, 9, 6])
+    def test_rejects_odd_or_tiny_grid(self, grid_n):
+        op, rad = prepared(np.eye(2), JORDAN)
+        with pytest.raises(ValueError):
+            equality_half_norm(op, rad, grid_n)
+        with pytest.raises(ValueError):
+            equality_quarter_form(op, rad, grid_n)
+
+    def test_serialized_keys(self):
+        op, rad = prepared(np.eye(2), JORDAN)
+        out = to_dict(equality_half_norm(op, rad))
+        assert list(out) == ["case_id", "equality_holds", "re_im_constant", "disk", "target"]
+        assert list(out["disk"]) == ["is_disk", "radius_k", "max_deviation"]
+        assert out["case_id"] == "half_norm"
+        assert out["disk"]["is_disk"] is True
+        assert json.loads(json.dumps(out)) == out
+
 
 class TestCommutatorBounds:
     def setup_method(self):
@@ -166,19 +209,19 @@ class TestCommutatorBounds:
 
     def test_lemma_example(self):
         # TX - YT = diag(1, -1): lhs = 1 against rhs = sqrt(2)
-        rep = commutator_lemma(self.op_t, self.op_x, self.op_y, "-")
+        rep = commutator_th5(self.op_t, self.op_x, self.op_y, "-")[0]
         assert rep.lhs == pytest.approx(1.0, rel=1e-6)
         assert rep.rhs == pytest.approx(SQRT2, rel=1e-12)
         assert rep.holds and not rep.tight
 
     def test_lemma_zero_partners(self):
         zero = make_a_operator(self.ctx, np.zeros((2, 2)))
-        rep = commutator_lemma(self.op_t, zero, zero, "+")
+        rep = commutator_th5(self.op_t, zero, zero, "+")[0]
         assert rep.lhs == 0.0 and rep.rhs == 0.0
         assert rep.holds and rep.tight
 
     def test_th5_example(self):
-        rep_i, rep_ii = commutator_th5(self.op_t, self.op_x, self.op_y, "-")
+        _, rep_i, rep_ii = commutator_th5(self.op_t, self.op_x, self.op_y, "-")
         assert rep_i.formula_id == "th5_i"
         assert rep_ii.formula_id == "th5_ii"
         # both radicands reduce to w^2 = 1/4 here, so both bounds are sqrt 2
@@ -188,7 +231,7 @@ class TestCommutatorBounds:
 
     def test_th5_identity_partners_anticommutator(self):
         ident = make_a_operator(self.ctx, np.eye(2))
-        rep_i, _ = commutator_th5(self.op_t, ident, ident, "+")
+        _, rep_i, _ = commutator_th5(self.op_t, ident, ident, "+")
         # lhs = w(2T) = 1, rhs = 2 sqrt2 sqrt(1/4) = sqrt 2
         assert rep_i.lhs == pytest.approx(1.0, rel=1e-5)
         assert rep_i.holds
@@ -219,10 +262,10 @@ class TestCommutatorBounds:
     def test_context_mismatch_rejected(self):
         other = make_a_operator(psd_decompose(np.diag([2.0, 1.0])), JORDAN)
         with pytest.raises(ContextMismatchError):
-            commutator_lemma(self.op_t, other, other)
+            commutator_th5(self.op_t, other, other)
         with pytest.raises(ContextMismatchError):
             commutator_compare(self.op_t, other)
 
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValueError):
-            commutator_lemma(self.op_t, self.op_x, self.op_y, "*")
+            commutator_th5(self.op_t, self.op_x, self.op_y, "*")

@@ -5,7 +5,6 @@ import pytest
 
 from anumrad import (
     DegenerateRankError,
-    NotAdjointableError,
     disk_test,
     make_a_operator,
     phase_profile,
@@ -85,13 +84,6 @@ class TestThetaScan:
         with pytest.raises(ValueError):
             radius_theta_scan(make_op(np.eye(2), JORDAN), grid_n=3)
 
-    def test_rejects_non_adjointable(self):
-        import dataclasses
-
-        fake = dataclasses.replace(make_op(np.eye(2), JORDAN), adjointable=False)
-        with pytest.raises(NotAdjointableError):
-            radius_theta_scan(fake)
-
 
 class TestPhaseProfile:
     def test_periodicity_and_symmetry(self):
@@ -104,6 +96,22 @@ class TestPhaseProfile:
         op = make_op(np.eye(2), np.diag([1.0, -1.0]))
         th = np.linspace(0.0, math.pi, 37)
         assert np.allclose(phase_profile(op, th), np.abs(np.cos(th)), atol=1e-12)
+
+    @pytest.mark.parametrize("diag_a", [[2.0, 1.0, 0.5, 3.0], [2.0, 0.0, 1.0, 0.0]])
+    def test_im_profile_is_re_profile_rolled(self, diag_a):
+        # Im_A(e^{i theta}T) = Re_A(e^{i(theta - pi/2)}T): on an even grid the
+        # Im profile is the Re profile shifted by n/2 steps, for full-rank
+        # and singular A alike.
+        a = np.diag(diag_a)
+        ctx = psd_decompose(a)
+        rng = np.random.default_rng(3)
+        t = ctx.proj @ (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) @ ctx.proj
+        op = make_a_operator(ctx, t)
+        for n in (8, 180, 720):
+            th = np.arange(n) * (math.pi / n)
+            re_vals = phase_profile(op, th)
+            im_vals = phase_profile(op, th - math.pi / 2.0)
+            assert np.allclose(im_vals, np.roll(re_vals, n // 2), rtol=0.0, atol=1e-12)
 
 
 class TestSampling:
