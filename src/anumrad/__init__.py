@@ -14,7 +14,6 @@ from .bounds import (
     bound_th2,
     bound_th3,
     bound_th4,
-    cartesian_form_norm,
     classic_bounds,
     commutator_compare,
     commutator_th5,
@@ -64,7 +63,6 @@ from .space import (
     is_a_selfadjoint,
     is_adjointable,
     make_a_operator,
-    op_seminorm,
     psd_decompose,
     seminorm_mat,
 )

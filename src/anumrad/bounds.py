@@ -86,11 +86,6 @@ def _report(formula_id: str, lhs: float, rhs: float, ctx: PsdContext, kind: str)
     return BoundReport(formula_id, lhs, rhs, slack, holds, tight, scale)
 
 
-def cartesian_form_norm(op: AOperator) -> float:
-    """||T#A T + T T#A||_A, as cached on the operator."""
-    return op.form_norm
-
-
 def classic_bounds(op: AOperator, rad: RadiusEstimate) -> list[BoundReport]:
     """The four classical sandwich checks:
     ||T||_A/2 <= w_A(T) <= ||T||_A and ||D||_A/4 <= w_A^2(T) <= ||D||_A/2

@@ -27,7 +27,7 @@ from .bounds import (
     equality_half_norm,
     equality_quarter_form,
 )
-from .linalg import TolerancePolicy, spectral_norm
+from .linalg import TolerancePolicy
 from .radius import RadiusEstimate, radius_sampling, radius_theta_scan
 from .space import (
     AOperator,
@@ -325,8 +325,7 @@ def search_half_norm_converse(
         half = op.seminorm / 2.0
         if half == 0.0:
             continue
-        re_n = spectral_norm(op.h_re)
-        im_n = spectral_norm(op.h_im)
+        re_n, im_n = op.part_norms[:2]
         margin = tol.equality_rel_tol * max(half, ctx.lam_max)
         if abs(re_n - half) > margin or abs(im_n - half) > margin:
             continue

@@ -60,7 +60,9 @@ def load_instance(path) -> dict:
             raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "dim" not in payload:
         raise InstanceFormatError("instance file must be an object with a 'dim' field")
-    dim = int(payload["dim"])
+    dim = payload["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise InstanceFormatError(f"'dim' must be a positive integer, got {dim!r}")
     out = {"dim": dim}
     for key in MATRIX_KEYS:
         if key in payload:

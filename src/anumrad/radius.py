@@ -58,18 +58,24 @@ class DiskTestResult:
     max_deviation: float
 
 
-def phase_profile(op: AOperator, thetas) -> np.ndarray:
-    """f(theta) = ||Re_A(e^{i theta}T)||_A evaluated on an array of angles.
-
-    In compressed coordinates this is the spectral norm of the Hermitian
-    pencil cos(theta) H_re - sin(theta) H_im, evaluated batched.
-    """
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    h = (
+def _support_pencils(op: AOperator, th: np.ndarray) -> np.ndarray:
+    """The stack cos(theta) H_re - sin(theta) H_im, the compressions of
+    Re_A(e^{i theta}T), one r x r matrix per angle."""
+    return (
         np.cos(th)[:, None, None] * op.h_re[None, :, :]
         - np.sin(th)[:, None, None] * op.h_im[None, :, :]
     )
-    return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
+
+
+def phase_profile(op: AOperator, thetas) -> np.ndarray:
+    """f(theta) = ||Re_A(e^{i theta}T)||_A evaluated on an array of angles.
+
+    In range(A) coordinates this is the spectral norm of the r x r Hermitian
+    pencil cos(theta) H_re - sin(theta) H_im, evaluated batched; f = 0 when
+    rank(A) = 0.
+    """
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    return np.abs(np.linalg.eigvalsh(_support_pencils(op, th))).max(axis=-1, initial=0.0)
 
 
 def _golden_max(f, a: float, b: float, xtol: float = 1e-12):
@@ -154,28 +160,30 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
 def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> float:
     """Monte-Carlo lower oracle: max |<Tx,x>_A| over random unit-A-norm x.
 
-    Draws complex Gaussians, maps them through (A^{1/2})+ so the images are
-    uniformly distributed on the unit A-sphere of range(A), rejects
-    near-null draws, and normalizes. Deterministic for a fixed seed; never
-    exceeds the true radius. Returns 0 for rank(A) = 0.
+    Draws complex Gaussians z in C^n and takes x = (A^{1/2})+ z, uniformly
+    distributed on the unit A-sphere of range(A) after normalizing. In
+    range(A) coordinates u = Q* z this reads <Ax,x> = |u|^2 and
+    <ATx,x> = u* C u with C = ``op.compressed``. Near-null draws are
+    rejected. Deterministic for a fixed seed; never exceeds the true radius.
+    Returns 0 for rank(A) = 0.
     """
     ctx = op.ctx
     if ctx.rank == 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    at = ctx.a @ op.t
+    qh = ctx.range_basis.conj().T
     best = 0.0
     remaining = int(n_samples)
     while remaining > 0:
         m = min(remaining, 50_000)
         remaining -= m
         z = rng.standard_normal((ctx.dim, m)) + 1j * rng.standard_normal((ctx.dim, m))
-        v = ctx.pinv_sqrt_a @ z
-        nsq = np.einsum("ij,ij->j", v.conj(), ctx.a @ v).real
+        u = qh @ z
+        nsq = np.einsum("ij,ij->j", u.conj(), u).real
         ok = nsq >= 1e-16 * np.einsum("ij,ij->j", z.conj(), z).real
         if not ok.any():
             continue
-        vals = np.abs(np.einsum("ij,ij->j", v.conj(), at @ v))
+        vals = np.abs(np.einsum("ij,ij->j", u.conj(), op.compressed @ u))
         best = max(best, float((vals[ok] / nsq[ok]).max()))
     return best
 
@@ -183,34 +191,27 @@ def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> fl
 def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     """Point cloud of W_A(T): boundary support points plus random interior.
 
-    For each direction theta the top eigenvector of the compressed support
-    pencil, restricted to range(A), realizes the boundary point maximizing
-    Re(e^{i theta} z) over W_A(T). Random unit vectors in range(A) supply
-    interior points (theta recorded as nan).
+    For each direction theta the top eigenvector v of the r x r support
+    pencil realizes the boundary point v* C v maximizing Re(e^{i theta} z)
+    over W_A(T); all directions go through one batched eigensolve. Random
+    unit vectors in range(A) supply interior points (theta recorded as nan).
     """
     ctx = op.ctx
     if ctx.rank == 0:
         raise DegenerateRankError("W_A(T) is empty when A = 0")
-    q = ctx.range_basis
-    cr = q.conj().T @ op.compressed @ q
-    h1 = q.conj().T @ op.h_re @ q
-    h2 = q.conj().T @ op.h_im @ q
-
+    c = op.compressed
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    points = []
-    for th in thetas:
-        hr = math.cos(th) * h1 - math.sin(th) * h2
-        _, u = np.linalg.eigh(hr)
-        v = u[:, -1]
-        points.append(complex(v.conj() @ (cr @ v)))
+    _, u = np.linalg.eigh(_support_pencils(op, thetas))
+    v = u[:, :, -1]
+    boundary = np.einsum("ki,ij,kj->k", v.conj(), c, v)
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((ctx.rank, n_theta)) + 1j * rng.standard_normal((ctx.rank, n_theta))
     z /= np.linalg.norm(z, axis=0)
-    interior = np.einsum("ij,ik,kj->j", z.conj(), cr, z)
+    interior = np.einsum("ij,ik,kj->j", z.conj(), c, z)
 
     return RangeCloud(
-        points=np.concatenate([np.asarray(points), interior]),
+        points=np.concatenate([boundary, interior]),
         thetas=np.concatenate([thetas, np.full(n_theta, np.nan)]),
     )
 

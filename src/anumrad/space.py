@@ -3,8 +3,8 @@
 A positive operator A defines the semi-inner product <x,y>_A = <Ax,y> and
 the seminorms it induces on vectors and operators. :class:`PsdContext`
 packages A together with its eigendecomposition, Moore-Penrose inverse,
-square root and range projection; :class:`AOperator` binds an operator T
-to that context with its A-adjoint and Cartesian parts.
+range projection and range(A) coordinates; :class:`AOperator` binds an
+operator T to that context with its A-adjoint and Cartesian parts.
 """
 
 from __future__ import annotations
@@ -34,18 +34,20 @@ class NotAdjointableError(LinAlgInputError):
 class PsdContext:
     """The operator A with everything derived from its spectrum.
 
-    ``sqrt_a``, ``pinv_a``, ``pinv_sqrt_a`` and ``proj`` all share the rank
-    decision: spectral components at or below rank_rel_tol * lambda_max are
-    treated as exactly zero.
+    With A = Q diag(lambda) Q* over the r = rank(A) kept eigenpairs,
+    ``range_basis`` is Q (n x r) and ``root`` is sqrt(lambda) (length r).
+    ``pinv_a``, ``proj`` and :meth:`compress` all share that rank decision:
+    spectral components at or below rank_rel_tol * lambda_max are treated
+    as exactly zero.
     """
 
     dim: int
     a: np.ndarray
     eig: HermEig
     rank: int
-    sqrt_a: np.ndarray
+    range_basis: np.ndarray
+    root: np.ndarray
     pinv_a: np.ndarray
-    pinv_sqrt_a: np.ndarray
     proj: np.ndarray
     tol: TolerancePolicy
 
@@ -53,12 +55,12 @@ class PsdContext:
     def lam_max(self) -> float:
         return float(max(self.eig.eigenvalues[-1], 0.0))
 
-    @property
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal columns spanning range(A)."""
-        cutoff = self.tol.rank_rel_tol * self.lam_max
-        keep = self.eig.eigenvalues > cutoff
-        return self.eig.eigenvectors[:, keep]
+    def compress(self, m: np.ndarray) -> np.ndarray:
+        """The r x r matrix of A^{1/2} M (A^{1/2})+ in range(A) coordinates:
+        Q times it times Q* is the n x n similarity, with the same nonzero
+        singular values and spectrum."""
+        q = self.range_basis
+        return self.root[:, None] * (q.conj().T @ m @ q) / self.root[None, :]
 
 
 def psd_decompose(a_raw, tol: TolerancePolicy | None = None) -> PsdContext:
@@ -80,26 +82,16 @@ def psd_decompose(a_raw, tol: TolerancePolicy | None = None) -> PsdContext:
         )
     w = np.clip(w, 0.0, None)
     keep = w > cutoff
-    rank = int(keep.sum())
-    u = eig.eigenvectors
-
-    w_kept = np.where(keep, w, 0.0)
-    inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=keep)
-    sqrt_w = np.sqrt(w_kept)
-    inv_sqrt_w = np.divide(1.0, sqrt_w, out=np.zeros_like(w), where=keep)
-
-    def weighted(diag):
-        return (u * diag) @ u.conj().T
-
+    q = eig.eigenvectors[:, keep]
     return PsdContext(
         dim=arr.shape[0],
         a=(arr + arr.conj().T) / 2.0,
-        eig=HermEig(eigenvalues=w, eigenvectors=u),
-        rank=rank,
-        sqrt_a=weighted(sqrt_w),
-        pinv_a=weighted(inv_w),
-        pinv_sqrt_a=weighted(inv_sqrt_w),
-        proj=weighted(keep.astype(float)),
+        eig=HermEig(eigenvalues=w, eigenvectors=eig.eigenvectors),
+        rank=q.shape[1],
+        range_basis=q,
+        root=np.sqrt(w[keep]),
+        pinv_a=(q / w[keep]) @ q.conj().T,
+        proj=q @ q.conj().T,
         tol=tol,
     )
 
@@ -130,13 +122,20 @@ def is_adjointable(ctx: PsdContext, t) -> bool:
     return residual <= ctx.tol.check_rel_tol * scale if scale > 0.0 else True
 
 
+def _norm(c: np.ndarray) -> float:
+    """Largest singular value of an r x r matrix; 0 when r = 0."""
+    return float(np.linalg.svd(c, compute_uv=False).max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class AOperator:
     """An operator T bound to a PsdContext, with its A-adjoint and parts.
 
-    ``compressed`` is A^{1/2} T (A^{1/2})+, the similarity under which all
-    A-seminorms become ordinary spectral norms; ``h_re``/``h_im`` are its
-    Hermitian and skew parts, i.e. the compressions of Re_A(T) and Im_A(T).
+    ``compressed`` is the r x r matrix ``ctx.compress(T)`` of
+    A^{1/2} T (A^{1/2})+, the similarity under which all A-seminorms become
+    ordinary spectral norms; ``h_re``/``h_im`` are its Hermitian and skew
+    parts, i.e. the compressions of Re_A(T) and Im_A(T). Every A-seminorm is
+    computed on these r x r matrices, so its cost follows rank(A), not dim.
     The norms every bound needs are computed on first use and cached.
     """
 
@@ -148,24 +147,24 @@ class AOperator:
     compressed: np.ndarray = field(repr=False)
     h_re: np.ndarray = field(repr=False)
     h_im: np.ndarray = field(repr=False)
-    seminorm: float = 0.0
+    seminorm: float
 
     @cached_property
     def part_norms(self) -> tuple[float, float, float, float]:
         """||Re_A(T)||_A, ||Im_A(T)||_A, ||Re + Im||_A and ||Re - Im||_A, via
         the compressed Hermitian parts (exact images of the Cartesian parts)."""
         return (
-            spectral_norm(self.h_re),
-            spectral_norm(self.h_im),
-            spectral_norm(self.h_re + self.h_im),
-            spectral_norm(self.h_re - self.h_im),
+            _norm(self.h_re),
+            _norm(self.h_im),
+            _norm(self.h_re + self.h_im),
+            _norm(self.h_re - self.h_im),
         )
 
     @cached_property
     def form_norm(self) -> float:
         """||T#A T + T T#A||_A, computed as ||C*C + CC*|| in compressed form."""
         c = self.compressed
-        return spectral_norm(c.conj().T @ c + c @ c.conj().T)
+        return _norm(c.conj().T @ c + c @ c.conj().T)
 
 
 def make_a_operator(ctx: PsdContext, t) -> AOperator:
@@ -180,7 +179,7 @@ def make_a_operator(ctx: PsdContext, t) -> AOperator:
     sharp = ctx.pinv_a @ arr.conj().T @ ctx.a
     re_a = (arr + sharp) / 2.0
     im_a = (arr - sharp) * (-0.5j)
-    compressed = ctx.sqrt_a @ arr @ ctx.pinv_sqrt_a
+    compressed = ctx.compress(arr)
     h_re = (compressed + compressed.conj().T) / 2.0
     h_im = (compressed - compressed.conj().T) * (-0.5j)
     return AOperator(
@@ -192,19 +191,14 @@ def make_a_operator(ctx: PsdContext, t) -> AOperator:
         compressed=compressed,
         h_re=h_re,
         h_im=h_im,
-        seminorm=spectral_norm(compressed) if compressed.any() else 0.0,
+        seminorm=_norm(compressed),
     )
-
-
-def op_seminorm(op: AOperator) -> float:
-    """||T||_A = sigma_max(A^{1/2} T (A^{1/2})+); 0 iff ATA = 0."""
-    return op.seminorm
 
 
 def seminorm_mat(ctx: PsdContext, m) -> float:
     """A-seminorm of a raw matrix, without building a full AOperator."""
     arr = as_square_matrix(m, ctx.dim)
-    return spectral_norm(ctx.sqrt_a @ arr @ ctx.pinv_sqrt_a)
+    return _norm(ctx.compress(arr))
 
 
 def is_a_selfadjoint(ctx: PsdContext, t) -> bool:

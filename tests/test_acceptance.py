@@ -12,7 +12,6 @@ import pytest
 from anumrad import (
     InstanceSpec,
     SuiteConfig,
-    cartesian_form_norm,
     classic_bounds,
     disk_test,
     gen_instance,
@@ -141,7 +140,7 @@ def test_criterion_5_refinement_dominance(suite):
     for ev in suite.evaluations:
         reports = {r.formula_id: r for r in ev.reports}
         half = ev.op.seminorm / 2.0
-        quarter = cartesian_form_norm(ev.op) / 4.0
+        quarter = ev.op.form_norm / 4.0
         lam = ev.ctx.lam_max
         for fid, base in (("th1", half), ("th3", half)):
             rep = reports[fid]

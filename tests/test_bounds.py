@@ -10,7 +10,6 @@ from anumrad import (
     bound_th2,
     bound_th3,
     bound_th4,
-    cartesian_form_norm,
     classic_bounds,
     commutator_compare,
     commutator_th5,
@@ -36,15 +35,15 @@ class TestCartesianFormNorm:
     def test_jordan(self):
         op, _ = prepared(np.eye(2), JORDAN)
         # T*T + TT* = I so the norm is 1
-        assert cartesian_form_norm(op) == pytest.approx(1.0, rel=1e-12)
+        assert op.form_norm == pytest.approx(1.0, rel=1e-12)
 
     def test_diagonal(self):
         op, _ = prepared(np.eye(2), np.diag([1.0 + 1.0j, 0.0]))
-        assert cartesian_form_norm(op) == pytest.approx(4.0, rel=1e-12)
+        assert op.form_norm == pytest.approx(4.0, rel=1e-12)
 
     def test_norms_cached_on_operator(self):
         op, _ = prepared(np.diag([2.0, 1.0]), np.array([[1.0, 2.0j], [0.5, -1.0]]))
-        assert cartesian_form_norm(op) is op.form_norm
+        assert op.form_norm is op.form_norm
         assert op.part_norms is op.part_norms
         re_n, im_n, sum_n, diff_n = op.part_norms
         assert re_n == spectral_norm(op.h_re)
@@ -129,7 +128,7 @@ class TestRefinedLowerBounds:
             t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             op, rad = prepared(np.eye(n), t)
             half = op.seminorm / 2.0
-            quarter = cartesian_form_norm(op) / 4.0
+            quarter = op.form_norm / 4.0
             assert bound_th1(op, rad).rhs >= half - 1e-12
             assert bound_th3(op, rad).rhs >= half - 1e-12
             assert bound_th2(op, rad).rhs ** 2 >= quarter - 1e-12

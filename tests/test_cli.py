@@ -53,6 +53,11 @@ class TestRadius:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["radius", "--in", str(bad)]) == EXIT_IO
+        save_instance(bad, {"A": np.eye(2), "T": np.eye(2)})
+        payload = json.loads(bad.read_text())
+        for dim in (None, [2], "x", 2.7):
+            bad.write_text(json.dumps({**payload, "dim": dim}))
+            assert main(["radius", "--in", str(bad)]) == EXIT_IO
 
     def test_non_adjointable_instance(self, tmp_path):
         path = tmp_path / "nonadj.json"

@@ -104,7 +104,8 @@ class TestPsdDecompose:
 
     def test_diagonal(self):
         ctx = psd_decompose(np.diag([2.0, 1.0]))
-        assert np.allclose(ctx.sqrt_a, np.diag([np.sqrt(2.0), 1.0]))
+        q = ctx.range_basis
+        assert np.allclose((q * ctx.root) @ q.conj().T, np.diag([np.sqrt(2.0), 1.0]))
         assert np.allclose(ctx.pinv_a, np.diag([0.5, 1.0]))
 
     def test_singular_diagonal(self):
@@ -141,5 +142,8 @@ class TestPsdDecompose:
             assert spectral_norm(pinv @ a @ pinv - pinv) <= scale
             assert np.abs(a @ pinv - (a @ pinv).conj().T).max() <= scale
             assert np.abs(pinv @ a - (pinv @ a).conj().T).max() <= scale
-            assert spectral_norm(ctx.sqrt_a @ ctx.sqrt_a - a) <= scale
-            assert spectral_norm(ctx.pinv_sqrt_a @ ctx.pinv_sqrt_a - pinv) <= scale
+            q = ctx.range_basis
+            sqrt_a = (q * ctx.root) @ q.conj().T
+            pinv_sqrt_a = (q / ctx.root) @ q.conj().T
+            assert spectral_norm(sqrt_a @ sqrt_a - a) <= scale
+            assert spectral_norm(pinv_sqrt_a @ pinv_sqrt_a - pinv) <= scale

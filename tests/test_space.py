@@ -5,11 +5,12 @@ from anumrad import (
     NotAdjointableError,
     a_inner,
     a_norm_vec,
+    equality_half_norm,
     is_a_selfadjoint,
     is_adjointable,
     make_a_operator,
-    op_seminorm,
     psd_decompose,
+    radius_theta_scan,
     seminorm_mat,
     spectral_norm,
 )
@@ -97,7 +98,7 @@ class TestSharp:
 class TestSeminorm:
     def test_identity_weight(self):
         ctx = psd_decompose(np.eye(2))
-        assert op_seminorm(make_a_operator(ctx, JORDAN)) == pytest.approx(1.0)
+        assert make_a_operator(ctx, JORDAN).seminorm == pytest.approx(1.0)
 
     def test_weighted_nilpotent(self):
         # ||T||_A = sigma_max(A^{1/2} T A^{-1/2}) = sqrt(2) for A = diag(2,1)
@@ -180,7 +181,8 @@ class TestOperatorInvariants:
         for n in (2, 3):
             ctx, op = random_adjointable(rng, n, n)
             z = rng.standard_normal((n, 20_000)) + 1j * rng.standard_normal((n, 20_000))
-            x = ctx.pinv_sqrt_a @ z
+            q = ctx.range_basis
+            x = (q / ctx.root) @ q.conj().T @ z
             num = np.einsum("ij,ij->j", (op.t @ x).conj(), ctx.a @ (op.t @ x)).real
             den = np.einsum("ij,ij->j", x.conj(), ctx.a @ x).real
             ratios = np.sqrt(np.clip(num, 0.0, None) / den)
@@ -192,3 +194,32 @@ class TestOperatorInvariants:
         op = make_a_operator(ctx, np.arange(9.0).reshape(3, 3))
         assert op.seminorm == 0.0
         assert not op.sharp.any()
+        # rank(A) = 0: every A-quantity lives on 0 x 0 matrices and is 0
+        assert op.compressed.shape == op.h_re.shape == op.h_im.shape == (0, 0)
+        assert op.part_norms == (0.0, 0.0, 0.0, 0.0)
+        assert op.form_norm == 0.0
+        assert seminorm_mat(ctx, np.ones((3, 3)) + 1j) == 0.0
+        rad = radius_theta_scan(op)
+        assert rad.lower == rad.upper == 0.0
+        diag = equality_half_norm(op, rad, 180)
+        assert diag.equality_holds and diag.re_im_constant and diag.disk.is_disk
+        assert diag.target == diag.disk.radius_k == diag.disk.max_deviation == 0.0
+
+    @pytest.mark.parametrize("rank", [1, 3, 5])
+    def test_compress_is_the_sqrt_similarity(self, rank):
+        # Q compress(T) Q* = A^{1/2} T (A^{1/2})+, with the reference square
+        # roots built here from a separate eigendecomposition of A
+        rng = np.random.default_rng(40 + rank)
+        n = 5
+        g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        a = g @ g.conj().T
+        t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w, u = np.linalg.eigh(a)
+        keep = w > 1e-10 * w[-1]
+        uk, sk = u[:, keep], np.sqrt(w[keep])
+        expected = (uk * sk) @ uk.conj().T @ t @ (uk / sk) @ uk.conj().T
+        ctx = psd_decompose(a)
+        q = ctx.range_basis
+        c = ctx.compress(t)
+        assert c.shape == (rank, rank)
+        assert np.abs(q @ c @ q.conj().T - expected).max() <= 1e-12 * np.abs(expected).max()
