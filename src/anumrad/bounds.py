@@ -3,9 +3,9 @@ characterizations, and commutator upper bounds.
 
 The evaluators read the per-operator norms cached on :class:`AOperator`
 (``seminorm``, ``part_norms``, ``form_norm``), so each is computed once per
-operator however many bounds use it. The commutator bounds share one radius
-scan of TX +- YT per sign, and each equality diagnostic evaluates the phase
-profile once.
+operator however many bounds use it. The commutator bounds share one
+unrefined radius scan of TX +- YT per sign (they read only upper ends), and
+each equality diagnostic evaluates the phase profile once.
 
 Every check is emitted as a :class:`BoundReport` whose slack is oriented so
 that "holds" always means slack >= -check_rel_tol * scale. Where w_A(T)
@@ -180,11 +180,22 @@ def _sign_value(sign: str) -> float:
     return 1.0 if sign == "+" else -1.0
 
 
-def _generalized_commutator_radius(op_t, op_x, op_y, sign, grid_n) -> float:
-    ctx = _require_same_context(op_t, op_x, op_y)
-    s = _sign_value(sign)
+def _commutator_radius(op_t, op_x, op_y, s, grid_n) -> float:
+    """Grid-certified upper end of w_A(TX + sYT); nothing reads its lower end."""
     prod = op_t.t @ op_x.t + s * (op_y.t @ op_t.t)
-    return radius_theta_scan(make_a_operator(ctx, prod), grid_n).upper
+    return radius_theta_scan(make_a_operator(op_t.ctx, prod), grid_n, refine=False).upper
+
+
+def _reduced_radii(op: AOperator, w: float) -> tuple[float, float]:
+    """sqrt(w^2 - | ||Re||^2 - ||Im||^2 | / 2) and
+    sqrt(w^2 - | ||Re+Im||^2 - ||Re-Im||^2 | / 4) for w = w_A(T). Each
+    radicand is clamped at zero (it is >= 0 in exact arithmetic, negativity
+    is rounding noise)."""
+    re_n, im_n, sum_n, diff_n = op.part_norms
+    return (
+        math.sqrt(max(w**2 - abs(re_n**2 - im_n**2) / 2.0, 0.0)),
+        math.sqrt(max(w**2 - abs(sum_n**2 - diff_n**2) / 4.0, 0.0)),
+    )
 
 
 def commutator_th5(
@@ -197,23 +208,19 @@ def commutator_th5(
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
     """All three upper bounds on w_A(TX +- YT), from one radius scan of it:
     lem1, max(||X||_A, ||Y||_A) sqrt(2 ||T#A T + T T#A||_A), then the two
-    refined bounds th5_i and th5_ii. Their radicands w^2 - c are clamped at
-    zero (c <= w^2 is guaranteed, negativity is rounding noise)."""
-    _require_same_context(op_t, op_x, op_y)
-    rad_t = rad_t if rad_t is not None else radius_theta_scan(op_t, grid_n)
-    lhs = _generalized_commutator_radius(op_t, op_x, op_y, sign, grid_n)
+    refined bounds th5_i and th5_ii."""
+    ctx = _require_same_context(op_t, op_x, op_y)
+    s = _sign_value(sign)
+    rad_t = rad_t if rad_t is not None else radius_theta_scan(op_t, grid_n, refine=False)
+    lhs = _commutator_radius(op_t, op_x, op_y, s, grid_n)
     norm_xy = max(op_x.seminorm, op_y.seminorm)
     factor = 2.0 * SQRT2 * norm_xy
-    re_n, im_n, sum_n, diff_n = op_t.part_norms
-    w_sq = rad_t.upper**2
+    red_i, red_ii = _reduced_radii(op_t, rad_t.upper)
     rhs_lem = norm_xy * math.sqrt(2.0 * op_t.form_norm)
-    rhs_i = factor * math.sqrt(max(w_sq - abs(re_n**2 - im_n**2) / 2.0, 0.0))
-    rhs_ii = factor * math.sqrt(max(w_sq - abs(sum_n**2 - diff_n**2) / 4.0, 0.0))
-    ctx = op_t.ctx
     return (
         _report("lem1", lhs, rhs_lem, ctx, "upper"),
-        _report("th5_i", lhs, rhs_i, ctx, "upper"),
-        _report("th5_ii", lhs, rhs_ii, ctx, "upper"),
+        _report("th5_i", lhs, factor * red_i, ctx, "upper"),
+        _report("th5_ii", lhs, factor * red_ii, ctx, "upper"),
     )
 
 
@@ -226,22 +233,14 @@ def commutator_compare(
 ) -> CommutatorComparison:
     """Refined bounds 2 sqrt2 min(alpha1, alpha2) and 2 sqrt2 min(beta1, beta2)
     for w_A(TS +- ST), next to 2 sqrt2 min(||T|| w_A(S), ||S|| w_A(T))."""
-    ctx = _require_same_context(op_t, op_s)
-    rad_t = rad_t if rad_t is not None else radius_theta_scan(op_t, grid_n)
-    rad_s = rad_s if rad_s is not None else radius_theta_scan(op_s, grid_n)
+    _require_same_context(op_t, op_s)
+    rad_t = rad_t if rad_t is not None else radius_theta_scan(op_t, grid_n, refine=False)
+    rad_s = rad_s if rad_s is not None else radius_theta_scan(op_s, grid_n, refine=False)
     wt, ws = rad_t.upper, rad_s.upper
     nt, ns = op_t.seminorm, op_s.seminorm
-    re_t, im_t, sum_t, diff_t = op_t.part_norms
-    re_s, im_s, sum_s, diff_s = op_s.part_norms
-
-    alpha1 = ns * math.sqrt(max(wt**2 - abs(re_t**2 - im_t**2) / 2.0, 0.0))
-    alpha2 = nt * math.sqrt(max(ws**2 - abs(re_s**2 - im_s**2) / 2.0, 0.0))
-    beta1 = ns * math.sqrt(max(wt**2 - abs(sum_t**2 - diff_t**2) / 4.0, 0.0))
-    beta2 = nt * math.sqrt(max(ws**2 - abs(sum_s**2 - diff_s**2) / 4.0, 0.0))
-
-    w_plus = radius_theta_scan(make_a_operator(ctx, op_t.t @ op_s.t + op_s.t @ op_t.t), grid_n).upper
-    w_minus = radius_theta_scan(make_a_operator(ctx, op_t.t @ op_s.t - op_s.t @ op_t.t), grid_n).upper
-
+    red_t, red_s = _reduced_radii(op_t, wt), _reduced_radii(op_s, ws)
+    alpha1, beta1 = ns * red_t[0], ns * red_t[1]
+    alpha2, beta2 = nt * red_s[0], nt * red_s[1]
     return CommutatorComparison(
         alpha1=alpha1,
         alpha2=alpha2,
@@ -250,6 +249,6 @@ def commutator_compare(
         zamani_bound=2.0 * SQRT2 * min(nt * ws, ns * wt),
         refined31=2.0 * SQRT2 * min(alpha1, alpha2),
         refined32=2.0 * SQRT2 * min(beta1, beta2),
-        w_plus=w_plus,
-        w_minus=w_minus,
+        w_plus=_commutator_radius(op_t, op_s, op_s, 1.0, grid_n),
+        w_minus=_commutator_radius(op_t, op_s, op_s, -1.0, grid_n),
     )

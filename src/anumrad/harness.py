@@ -177,6 +177,14 @@ class SuiteConfig:
     tol: TolerancePolicy = field(default_factory=TolerancePolicy)
     equality_grid_n: int = 180
 
+    def __post_init__(self):
+        if not self.dims:
+            raise ValueError("dims must not be empty")
+        if not self.constructions:
+            raise ValueError("constructions must not be empty")
+        if self.n_instances < 0:
+            raise ValueError(f"n_instances must be >= 0, got {self.n_instances}")
+
     def instance_specs(self) -> list[InstanceSpec]:
         rng = np.random.default_rng(self.seed)
         specs = []
@@ -258,8 +266,7 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
     ev.op_y = gen_partner(ctx, [spec.seed, 3])
     for sign in ("+", "-"):
         ev.reports.extend(commutator_th5(op, ev.op_x, ev.op_y, sign, rad, config.grid_n))
-    rad_s = radius_theta_scan(ev.partner, config.grid_n)
-    cmp = commutator_compare(op, ev.partner, rad, rad_s, config.grid_n)
+    cmp = commutator_compare(op, ev.partner, rad, grid_n=config.grid_n)
     ev.comparison = cmp
     tolc = config.tol.check_rel_tol * max(cmp.zamani_bound, ctx.lam_max)
     if cmp.refined31 > cmp.zamani_bound + tolc or cmp.refined32 > cmp.zamani_bound + tolc:

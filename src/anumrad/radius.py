@@ -125,7 +125,8 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     f has period pi (negating Re_A(e^{i theta}T) preserves the seminorm).
     The grid maximum is a certified lower bound; golden-section refinement
     within the argmax cell can only raise it and never touches the
-    grid-based upper certificate.
+    grid-based upper certificate. refine=False is for callers that read only
+    ``upper``, which does not depend on it.
     """
     if grid_n < 4:
         raise ValueError(f"grid_n must be >= 4, got {grid_n}")
@@ -167,6 +168,8 @@ def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> fl
     rejected. Deterministic for a fixed seed; never exceeds the true radius.
     Returns 0 for rank(A) = 0.
     """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     ctx = op.ctx
     if ctx.rank == 0:
         return 0.0
@@ -196,6 +199,8 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     over W_A(T); all directions go through one batched eigensolve. Random
     unit vectors in range(A) supply interior points (theta recorded as nan).
     """
+    if n_theta < 1:
+        raise ValueError(f"n_theta must be >= 1, got {n_theta}")
     ctx = op.ctx
     if ctx.rank == 0:
         raise DegenerateRankError("W_A(T) is empty when A = 0")

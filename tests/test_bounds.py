@@ -6,6 +6,7 @@ import pytest
 
 from anumrad import (
     ContextMismatchError,
+    InstanceSpec,
     bound_th1,
     bound_th2,
     bound_th3,
@@ -15,6 +16,8 @@ from anumrad import (
     commutator_th5,
     equality_half_norm,
     equality_quarter_form,
+    gen_instance,
+    gen_partner,
     make_a_operator,
     psd_decompose,
     radius_theta_scan,
@@ -268,3 +271,22 @@ class TestCommutatorBounds:
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValueError):
             commutator_th5(self.op_t, self.op_x, self.op_y, "*")
+
+
+@pytest.mark.parametrize("construction", ["random", "nilpotent_half", "shared_eigenbasis_selfadjoint"])
+@pytest.mark.parametrize("rank_a", [4, 2])
+def test_commutator_radii_share_one_unrefined_path(construction, rank_a):
+    seed = 120 + rank_a
+    a, t = gen_instance(InstanceSpec(dim=4, rank_a=rank_a, construction=construction, seed=seed))
+    ctx = psd_decompose(a)
+    op_t = make_a_operator(ctx, t)
+    op_s = gen_partner(ctx, [seed, 1])
+    # TS +- ST is TX +- YT with X = Y = S, bit for bit.
+    cmp = commutator_compare(op_t, op_s)
+    assert cmp.w_plus == commutator_th5(op_t, op_s, op_s, "+")[0].lhs
+    assert cmp.w_minus == commutator_th5(op_t, op_s, op_s, "-")[0].lhs
+    # The refinement moves only the lower end, so unrefined scans give the same upper.
+    ts, st = op_t.t @ op_s.t, op_s.t @ op_t.t
+    for op in (op_t, op_s, make_a_operator(ctx, ts + st), make_a_operator(ctx, ts - st)):
+        for grid_n in (64, 720):
+            assert radius_theta_scan(op, grid_n, refine=False).upper == radius_theta_scan(op, grid_n).upper

@@ -66,6 +66,7 @@ class TestRadius:
 
     def test_tiny_grid_is_usage_error(self, jordan_file):
         assert main(["radius", "--in", str(jordan_file), "--grid-n", "2"]) == EXIT_USAGE
+        assert main(["radius", "--in", str(jordan_file), "--samples", "-5"]) == EXIT_USAGE
 
 
 class TestBounds:
@@ -106,6 +107,12 @@ class TestRange:
         boundary = [r for r in rows if r["theta"] != "nan"]
         assert len(boundary) == 90
 
+    def test_non_positive_n_theta_is_usage_error(self, jordan_file, tmp_path):
+        out = tmp_path / "cloud.csv"
+        for n_theta in ("0", "-2"):
+            args = ["range", "--in", str(jordan_file), "--n-theta", n_theta, "--out", str(out)]
+            assert main(args) == EXIT_USAGE
+
 
 class TestVerify:
     def test_small_run_exits_clean(self, tmp_path):
@@ -126,6 +133,10 @@ class TestVerify:
         assert main(args) == EXIT_OK
         payload = json.loads(out.read_text())
         assert {inst["spec"]["dim"] for inst in payload["instances"]} == {2, 4}
+
+    def test_empty_or_negative_suite_is_usage_error(self):
+        assert main(["verify", "--dims", "5..2"]) == EXIT_USAGE
+        assert main(["verify", "--n", "-3"]) == EXIT_USAGE
 
     def test_counterexample_exit_code_is_distinct(self):
         assert EXIT_COUNTEREXAMPLE == 1

@@ -117,6 +117,17 @@ class TestSuite:
         assert specs == SuiteConfig(n_instances=10, dims=(2, 3), seed=5).instance_specs()
         assert all(1 <= s.rank_a <= s.dim for s in specs)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"dims": ()}, {"constructions": ()}, {"n_instances": -1}]
+    )
+    def test_config_rejects_empty_or_negative(self, kwargs):
+        with pytest.raises(ValueError):
+            SuiteConfig(**kwargs)
+
+    def test_config_allows_zero_instances(self):
+        assert SuiteConfig(n_instances=0).instance_specs() == []
+        assert run_suite(SuiteConfig(n_instances=0)).evaluations == []
+
     def test_small_suite_clean(self):
         config = SuiteConfig(n_instances=12, dims=(2, 3, 4), seed=5, n_samples=2000)
         report = run_suite(config)

@@ -136,6 +136,12 @@ class TestSampling:
         op = make_op(np.zeros((2, 2)), JORDAN)
         assert radius_sampling(op, 100, seed=0) == 0.0
 
+    def test_sample_count(self):
+        op = make_op(np.eye(2), JORDAN)
+        assert radius_sampling(op, 0) == 0.0
+        with pytest.raises(ValueError):
+            radius_sampling(op, -5)
+
     def test_deterministic(self):
         op = make_op(np.diag([2.0, 1.0]), JORDAN)
         assert radius_sampling(op, 2000, seed=5) == radius_sampling(op, 2000, seed=5)
