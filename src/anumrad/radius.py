@@ -5,6 +5,10 @@ a periodic support-type function that is the upper envelope of rectified
 cosinusoids |r cos(theta + phi)|, one per point of the A-numerical range.
 A uniform grid therefore under-reads the supremum by at most the factor
 cos(half grid spacing), which turns the scan into a certified enclosure.
+The same cosine argument bounds f on each grid cell from its two endpoint
+values, so the scan runs on nested grids and refines only the cells whose
+bound still exceeds the largest value seen, with the enclosure of the full
+uniform grid or a tighter one.
 """
 
 from __future__ import annotations
@@ -28,8 +32,13 @@ class DegenerateRankError(LinAlgInputError):
 class RadiusEstimate:
     """Certified enclosure lower <= w_A(T) <= upper.
 
-    theta_star is the (refined) maximizer of f on [0, pi); the certificate
-    keeps upper <= lower / cos(pi / (2 grid_n)).
+    theta_star is the (refined) maximizer of f on [0, pi). grid_n is the
+    finest spacing pi / grid_n that the nested, pruned scan reaches: lower
+    comes from the maximum of f over that uniform grid (raised by
+    refinement), and upper from the larger of that maximum and the bounds
+    of the finest cells that survived pruning, never above the uniform
+    grid's certificate. The certificate keeps
+    upper <= lower / cos(pi / (2 grid_n)).
     """
 
     lower: float
@@ -99,40 +108,71 @@ def _golden_max(f, a: float, b: float, xtol: float = 1e-12):
     return best_x, best_v
 
 
-def _cell_certificate(vals: np.ndarray, delta: float) -> float:
-    """Cellwise upper bound on sup f from grid values with spacing delta.
+def _cell_bounds(fa: np.ndarray, fb: np.ndarray, width: float) -> np.ndarray:
+    """Upper bound on f over each cell [t, t + width] from its endpoint
+    values fa = f(t) and fb = f(t + width); valid for any width below pi/2.
 
-    The global maximum of f is the peak of one rectified cosinusoid, so on
-    the cell containing it both endpoint values dominate r cos(distance);
-    maximizing the weaker of the two bounds over the peak position gives a
-    certified per-cell bound, exact when f is locally a single cosinusoid.
+    On a cell, sup f is an endpoint value or the peak r of one rectified
+    cosinusoid inside it, and then both endpoint values dominate
+    r cos(distance to the peak). Maximizing the weaker of the two bounds
+    over the peak position bounds r; the bound is exact when f is locally a
+    single cosinusoid.
     """
-    fa = vals
-    fb = np.roll(vals, -1)  # f has period pi; the last cell wraps to f(0)
-    cos_d, sin_d = math.cos(delta), math.sin(delta)
+    cos_d, sin_d = math.cos(width), math.sin(width)
     with np.errstate(divide="ignore", invalid="ignore"):
         tan_a = (fb - fa * cos_d) / (fa * sin_d)
         a = np.arctan(tan_a)
         crossing = fa / np.cos(a)
-    interior = (fa > 0.0) & (a >= 0.0) & (a <= delta)
+    interior = (fa > 0.0) & (a >= 0.0) & (a <= width)
     cell = np.where(interior, crossing, np.maximum(fa, fb))
-    return float(np.max(np.maximum(cell, np.maximum(fa, fb))))
+    return np.maximum(cell, np.maximum(fa, fb))
 
 
 def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> RadiusEstimate:
-    """Certified enclosure of w_A(T) via a theta scan over [0, pi).
+    """Certified enclosure of w_A(T) via a nested, pruned theta scan over [0, pi).
 
     f has period pi (negating Re_A(e^{i theta}T) preserves the seminorm).
+    Every angle is k pi/grid_n for an integer k. The scan starts on the
+    coarsest grid of grid_n/2^j points that is still >= 32 (j = 0 when
+    grid_n is odd or below 64) and halves the spacing per level down to
+    pi/grid_n, the finest spacing. Each level bounds f on every live cell
+    with ``_cell_bounds``, drops the cells whose bound is <= the largest
+    grid value so far, and evaluates the midpoints of the rest in one
+    batch; it stops at the finest level or when no cell is left.
+
+    Why this stays certified: a cell's bound caps f on that cell, so a
+    dropped cell cannot beat the grid maximum. Hence the largest evaluated
+    value is the maximum over the whole uniform grid, and sup f is at most
+    the larger of it and the bounds of the surviving finest cells. Those
+    cells are a subset of the uniform grid's cells, so ``upper`` is never
+    above the uniform grid's certificate. A profile with nothing to drop (a
+    flat one) evaluates each grid angle exactly once.
+
     The grid maximum is a certified lower bound; golden-section refinement
     within the argmax cell can only raise it and never touches the
-    grid-based upper certificate. refine=False is for callers that read only
-    ``upper``, which does not depend on it.
+    grid-based upper certificate, since pruning reads grid values only.
+    refine=False is for callers that read only ``upper``, which does not
+    depend on it.
     """
     if grid_n < 4:
         raise ValueError(f"grid_n must be >= 4, got {grid_n}")
     delta = math.pi / grid_n
-    thetas = np.arange(grid_n) * delta
-    vals = phase_profile(op, thetas)
+    n_coarse = grid_n
+    while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
+        n_coarse //= 2
+    step = grid_n // n_coarse
+    vals = np.full(grid_n, -np.inf)  # f at k delta; -inf where not evaluated
+    left = new = np.arange(0, grid_n, step)  # left ends of the live cells
+    while True:
+        vals[new] = phase_profile(op, new * delta)
+        # f has period pi, so the last cell ends at f(0).
+        bounds = _cell_bounds(vals[left], vals[(left + step) % grid_n], step * delta)
+        left = left[bounds > vals.max()]
+        if step == 1 or left.size == 0:
+            break
+        step //= 2
+        new = left + step
+        left = np.concatenate([left, new])
     j = int(np.argmax(vals))  # ties broken by smallest theta
     grid_max = float(vals[j])
     # Guard of order grid_max / grid_n^2, subtracted from the lower bound and
@@ -140,7 +180,7 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     # far below the certificate width, it absorbs evaluation noise so that
     # the enclosure stays valid and doubling the grid never loosens it.
     guard = grid_max * (delta / math.pi) ** 2 * 1e-3
-    lower, theta_star = max(grid_max - guard, 0.0), float(thetas[j])
+    lower, theta_star = max(grid_max - guard, 0.0), j * delta
     if refine and grid_max > 0.0:
         def f(th):
             return float(phase_profile(op, [th])[0])
@@ -148,7 +188,7 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
         x, v = _golden_max(f, theta_star - delta, theta_star + delta)
         if v - guard > lower:
             lower, theta_star = v - guard, x
-    upper = max(_cell_certificate(vals, delta) + guard, lower)
+    upper = max(max(grid_max, float(bounds.max())) + guard, lower)
     return RadiusEstimate(
         lower=lower,
         upper=upper,

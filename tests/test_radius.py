@@ -5,7 +5,9 @@ import pytest
 
 from anumrad import (
     DegenerateRankError,
+    InstanceSpec,
     disk_test,
+    gen_instance,
     make_a_operator,
     phase_profile,
     psd_decompose,
@@ -13,12 +15,55 @@ from anumrad import (
     radius_theta_scan,
     range_cloud,
 )
+from anumrad.radius import _golden_max
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+ADJOINTABLE = ("random", "nilpotent_half", "shared_eigenbasis_selfadjoint")
 
 
 def make_op(a, t):
     return make_a_operator(psd_decompose(a), t)
+
+
+def uniform_reference(op, grid_n):
+    """The scan on the full uniform grid: argmax, guard, golden refinement
+    and the largest cosine cell bound over all grid_n cells."""
+    delta = math.pi / grid_n
+    thetas = np.arange(grid_n) * delta
+    vals = phase_profile(op, thetas)
+    j = int(np.argmax(vals))
+    grid_max = float(vals[j])
+    guard = grid_max * (delta / math.pi) ** 2 * 1e-3
+    lower, theta_star = max(grid_max - guard, 0.0), float(thetas[j])
+    if grid_max > 0.0:
+        def f(th):
+            return float(phase_profile(op, [th])[0])
+
+        x, v = _golden_max(f, theta_star - delta, theta_star + delta)
+        if v - guard > lower:
+            lower, theta_star = v - guard, x
+    fa, fb = vals, np.roll(vals, -1)
+    cos_d, sin_d = math.cos(delta), math.sin(delta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.arctan((fb - fa * cos_d) / (fa * sin_d))
+        crossing = fa / np.cos(a)
+    interior = (fa > 0.0) & (a >= 0.0) & (a <= delta)
+    cell = np.where(interior, crossing, np.maximum(fa, fb))
+    certificate = float(np.max(np.maximum(cell, np.maximum(fa, fb))))
+    return lower, max(certificate + guard, lower), theta_star % math.pi
+
+
+def count_eigvalsh_mats(monkeypatch):
+    """Patch np.linalg.eigvalsh to count the matrices it is given."""
+    counted = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        counted[0] += int(np.prod(np.shape(a)[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return counted
 
 
 class TestThetaScan:
@@ -83,6 +128,74 @@ class TestThetaScan:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             radius_theta_scan(make_op(np.eye(2), JORDAN), grid_n=3)
+
+
+@pytest.mark.parametrize("construction", ADJOINTABLE)
+@pytest.mark.parametrize("rank_a", [5, 3])
+@pytest.mark.parametrize("grid_n", [8, 64, 181, 720, 1440])
+def test_pruned_scan_matches_uniform_reference(construction, rank_a, grid_n):
+    # Pruning evaluates a subset of the uniform grid's angles, bit for bit,
+    # and keeps a subset of its cells: same lower end, upper never above.
+    for seed in range(3):
+        op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=rank_a, construction=construction, seed=seed)))
+        rad = radius_theta_scan(op, grid_n)
+        lower, upper, theta_star = uniform_reference(op, grid_n)
+        assert rad.lower == lower
+        assert rad.theta_star == theta_star
+        assert upper - 2 * math.ulp(upper) <= rad.upper <= upper
+
+
+class TestPruning:
+    @pytest.mark.parametrize("grid_n", [181, 720, 1440])
+    def test_off_grid_peak_is_not_pruned(self, grid_n):
+        # Two nearly equal peaks: the lower one sits on the grid at theta = 0
+        # and wins the grid argmax, the higher one (at pi - 0.3) falls between
+        # grid angles; the closed form w = max |lambda| must stay enclosed.
+        t = np.diag([1.0 - 1e-7, np.exp(0.3j)])
+        rad = radius_theta_scan(make_op(np.eye(2), t), grid_n)
+        assert rad.lower <= 1.0 <= rad.upper
+        assert rad.upper <= rad.lower / math.cos(math.pi / (2 * grid_n))
+
+    def test_random_operator_evaluates_few_angles(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        t = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        op = make_op(np.eye(16), t)
+        counted = count_eigvalsh_mats(monkeypatch)
+        radius_theta_scan(op, 720, refine=False)
+        assert counted[0] <= 240
+
+    def test_flat_profile_evaluates_each_angle_once(self, monkeypatch):
+        op = make_op(np.eye(2), JORDAN)
+        counted = count_eigvalsh_mats(monkeypatch)
+        radius_theta_scan(op, 720, refine=False)
+        assert counted[0] == 720
+
+    def test_odd_grid_is_one_uniform_level(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        op = make_op(np.eye(4), rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        counted = count_eigvalsh_mats(monkeypatch)
+        radius_theta_scan(op, 181, refine=False)
+        assert counted[0] == 181
+
+
+@pytest.mark.parametrize("construction", ADJOINTABLE)
+@pytest.mark.parametrize("rank_a", [4, 2])
+def test_scan_scales_with_t_and_ignores_a_scale(construction, rank_a):
+    # w_A(cT) = |c| w_A(T) and w_{cA}(T) = w_A(T). A power of two scales
+    # every floating-point step on T exactly; on A it goes through the
+    # eigendecomposition of A, so the enclosure agrees up to rounding.
+    a, t = gen_instance(InstanceSpec(dim=4, rank_a=rank_a, construction=construction, seed=31))
+    ctx = psd_decompose(a)
+    base = radius_theta_scan(make_a_operator(ctx, t))
+    for k in (-400, -100, 100, 400):
+        c = 2.0**k
+        scaled = radius_theta_scan(make_a_operator(ctx, c * t))
+        assert scaled.lower == c * base.lower
+        assert scaled.upper == c * base.upper
+        assert scaled.theta_star == base.theta_star
+        reweighted = radius_theta_scan(make_op(c * a, t))
+        assert reweighted.lower == pytest.approx(base.lower, rel=1e-12, abs=0.0)
+        assert reweighted.upper == pytest.approx(base.upper, rel=1e-12, abs=0.0)
 
 
 class TestPhaseProfile:
