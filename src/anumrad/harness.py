@@ -69,8 +69,8 @@ class InstanceSpec:
             raise ValueError(f"unknown construction {self.construction!r}")
         if self.construction == "nonadjointable_probe" and self.rank_a >= self.dim:
             raise ValueError("nonadjointable_probe requires rank_a < dim")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
 
 def _complex_gaussian(rng, shape, scale=1.0):

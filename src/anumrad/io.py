@@ -44,7 +44,9 @@ def save_instance(path, matrices: dict) -> None:
     dim = np.asarray(matrices["A"]).shape[0]
     payload = {"dim": int(dim)}
     for key in MATRIX_KEYS:
-        if key in matrices and matrices[key] is not None:
+        if matrices.get(key) is not None:
+            if np.shape(matrices[key]) != (dim, dim):
+                raise InstanceFormatError(f"matrix {key!r} is not {dim}x{dim}")
             payload[key] = matrix_to_json(matrices[key])
     with open(path, "w") as fp:
         json.dump(payload, fp)

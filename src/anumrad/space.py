@@ -2,9 +2,8 @@
 
 A positive operator A defines the semi-inner product <x,y>_A = <Ax,y> and
 the seminorms it induces on vectors and operators. :class:`PsdContext`
-packages A together with its eigendecomposition, Moore-Penrose inverse,
-range projection and range(A) coordinates; :class:`AOperator` binds an
-operator T to that context with its A-adjoint and Cartesian parts.
+stores A, lambda_max and range(A) coordinates; :class:`AOperator` stores T
+and its compression to them. Everything else is computed on first read.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    HermEig,
     LinAlgInputError,
     NotPsdError,
     TolerancePolicy,
@@ -32,28 +30,29 @@ class NotAdjointableError(LinAlgInputError):
 
 @dataclass(frozen=True)
 class PsdContext:
-    """The operator A with everything derived from its spectrum.
+    """The operator A, its largest eigenvalue and its range(A) coordinates.
 
     With A = Q diag(lambda) Q* over the r = rank(A) kept eigenpairs,
     ``range_basis`` is Q (n x r) and ``root`` is sqrt(lambda) (length r).
-    ``pinv_a``, ``proj`` and :meth:`compress` all share that rank decision:
-    spectral components at or below rank_rel_tol * lambda_max are treated
-    as exactly zero.
+    :meth:`compress` and the n x n ``pinv_a`` and ``proj``, built on first
+    read, treat components at or below rank_rel_tol * lam_max as zero.
     """
 
     dim: int
     a: np.ndarray
-    eig: HermEig
+    lam_max: float
     rank: int
     range_basis: np.ndarray
     root: np.ndarray
-    pinv_a: np.ndarray
-    proj: np.ndarray
     tol: TolerancePolicy
 
-    @property
-    def lam_max(self) -> float:
-        return float(max(self.eig.eigenvalues[-1], 0.0))
+    @cached_property
+    def pinv_a(self) -> np.ndarray:
+        return (self.range_basis / self.root**2) @ self.range_basis.conj().T
+
+    @cached_property
+    def proj(self) -> np.ndarray:
+        return self.range_basis @ self.range_basis.conj().T
 
     def compress(self, m: np.ndarray) -> np.ndarray:
         """The r x r matrix of A^{1/2} M (A^{1/2})+ in range(A) coordinates:
@@ -67,8 +66,8 @@ def psd_decompose(a_raw, tol: TolerancePolicy | None = None) -> PsdContext:
     """Validate and spectrally decompose a positive semidefinite A.
 
     The input is symmetrized; eigenvalues within -rank_rel_tol * lambda_max
-    of zero are clamped to 0, anything more negative is an error. A zero
-    matrix yields the rank-0 context.
+    of zero count as 0, anything more negative is an error. A zero matrix
+    yields the rank-0 context.
     """
     tol = tol if tol is not None else TolerancePolicy()
     arr = as_square_matrix(a_raw)
@@ -77,21 +76,16 @@ def psd_decompose(a_raw, tol: TolerancePolicy | None = None) -> PsdContext:
     lam_max = float(max(w[-1], 0.0))
     cutoff = tol.rank_rel_tol * lam_max
     if w[0] < -cutoff:
-        raise NotPsdError(
-            f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})"
-        )
-    w = np.clip(w, 0.0, None)
+        raise NotPsdError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
     keep = w > cutoff
     q = eig.eigenvectors[:, keep]
     return PsdContext(
         dim=arr.shape[0],
         a=(arr + arr.conj().T) / 2.0,
-        eig=HermEig(eigenvalues=w, eigenvectors=eig.eigenvectors),
+        lam_max=lam_max,
         rank=q.shape[1],
         range_basis=q,
         root=np.sqrt(w[keep]),
-        pinv_a=(q / w[keep]) @ q.conj().T,
-        proj=q @ q.conj().T,
         tol=tol,
     )
 
@@ -113,41 +107,60 @@ def a_norm_vec(ctx: PsdContext, x) -> float:
 def is_adjointable(ctx: PsdContext, t) -> bool:
     """Douglas condition R(T*A) subset R(A), tested as a relative residual.
 
-    Vacuously true when T*A = 0 and whenever A is invertible.
+    True when rank(A) is 0 or n. Otherwise ||(I - QQ*)T*AQ||, which equals
+    ||(I - QQ*)T*A|| as A = AQQ*, against max(||T*AQ||, lambda_max).
     """
     arr = as_square_matrix(t, ctx.dim)
-    ta = arr.conj().T @ ctx.a
-    residual = spectral_norm(ta - ctx.proj @ ta)
-    scale = max(spectral_norm(ta), ctx.lam_max)
-    return residual <= ctx.tol.check_rel_tol * scale if scale > 0.0 else True
+    if ctx.rank in (0, ctx.dim):
+        return True
+    q = ctx.range_basis
+    taq = arr.conj().T @ (ctx.a @ q)
+    residual = _norm(taq - q @ (q.conj().T @ taq))
+    return residual <= ctx.tol.check_rel_tol * max(_norm(taq), ctx.lam_max)
 
 
 def _norm(c: np.ndarray) -> float:
-    """Largest singular value of an r x r matrix; 0 when r = 0."""
+    """Largest singular value of a matrix; 0 when it has no entries."""
     return float(np.linalg.svd(c, compute_uv=False).max(initial=0.0))
 
 
 @dataclass(frozen=True)
 class AOperator:
-    """An operator T bound to a PsdContext, with its A-adjoint and parts.
+    """An adjointable operator T bound to a PsdContext.
 
-    ``compressed`` is the r x r matrix ``ctx.compress(T)`` of
-    A^{1/2} T (A^{1/2})+, the similarity under which all A-seminorms become
-    ordinary spectral norms; ``h_re``/``h_im`` are its Hermitian and skew
-    parts, i.e. the compressions of Re_A(T) and Im_A(T). Every A-seminorm is
-    computed on these r x r matrices, so its cost follows rank(A), not dim.
-    The norms every bound needs are computed on first use and cached.
+    Only T and ``compressed`` = ``ctx.compress(T)`` are stored: the r x r
+    A^{1/2} T (A^{1/2})+, whose spectral norms are the A-seminorms. Its parts
+    ``h_re``/``h_im`` (the compressions of Re_A(T), Im_A(T)), the norms and
+    the n x n ``sharp`` = A+ T* A, ``re_a``, ``im_a`` are cached on first read.
     """
 
     ctx: PsdContext
     t: np.ndarray
-    sharp: np.ndarray
-    re_a: np.ndarray
-    im_a: np.ndarray
     compressed: np.ndarray = field(repr=False)
-    h_re: np.ndarray = field(repr=False)
-    h_im: np.ndarray = field(repr=False)
-    seminorm: float
+
+    @cached_property
+    def sharp(self) -> np.ndarray:
+        return self.ctx.pinv_a @ self.t.conj().T @ self.ctx.a
+
+    @cached_property
+    def re_a(self) -> np.ndarray:
+        return (self.t + self.sharp) / 2.0
+
+    @cached_property
+    def im_a(self) -> np.ndarray:
+        return (self.t - self.sharp) * (-0.5j)
+
+    @cached_property
+    def h_re(self) -> np.ndarray:
+        return (self.compressed + self.compressed.conj().T) / 2.0
+
+    @cached_property
+    def h_im(self) -> np.ndarray:
+        return (self.compressed - self.compressed.conj().T) * (-0.5j)
+
+    @cached_property
+    def seminorm(self) -> float:
+        return _norm(self.compressed)
 
     @cached_property
     def part_norms(self) -> tuple[float, float, float, float]:
@@ -168,7 +181,7 @@ class AOperator:
 
 
 def make_a_operator(ctx: PsdContext, t) -> AOperator:
-    """Construct the A-adjoint T#A = A+ T* A and the Cartesian parts of T.
+    """Bind T to ctx, storing T and its compression.
 
     Raises NotAdjointableError when T violates the Douglas condition, so
     every AOperator is adjointable.
@@ -176,23 +189,7 @@ def make_a_operator(ctx: PsdContext, t) -> AOperator:
     arr = as_square_matrix(t, ctx.dim)
     if not is_adjointable(ctx, arr):
         raise NotAdjointableError("T admits no A-adjoint (R(T*A) not within R(A))")
-    sharp = ctx.pinv_a @ arr.conj().T @ ctx.a
-    re_a = (arr + sharp) / 2.0
-    im_a = (arr - sharp) * (-0.5j)
-    compressed = ctx.compress(arr)
-    h_re = (compressed + compressed.conj().T) / 2.0
-    h_im = (compressed - compressed.conj().T) * (-0.5j)
-    return AOperator(
-        ctx=ctx,
-        t=arr,
-        sharp=sharp,
-        re_a=re_a,
-        im_a=im_a,
-        compressed=compressed,
-        h_re=h_re,
-        h_im=h_im,
-        seminorm=_norm(compressed),
-    )
+    return AOperator(ctx=ctx, t=arr, compressed=ctx.compress(arr))
 
 
 def seminorm_mat(ctx: PsdContext, m) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from anumrad.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from anumrad.io import load_instance, save_instance
+from anumrad.io import InstanceFormatError, load_instance, save_instance
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -35,6 +35,23 @@ class TestGen:
     def test_invalid_dim_is_usage_error(self, tmp_path):
         out = tmp_path / "x.json"
         assert main(["gen", "--dim", "1", "--out", str(out)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0"])
+    def test_non_finite_or_non_positive_scale_is_usage_error(self, tmp_path, scale):
+        out = tmp_path / "x.json"
+        assert main(["gen", "--dim", "3", "--scale", scale, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_save_rejects_dimension_mismatch_before_writing(self, tmp_path):
+        out = tmp_path / "x.json"
+        for matrices in (
+            {"A": np.eye(3), "T": np.eye(2)},
+            {"A": np.eye(2), "T": np.eye(2), "S": np.eye(3)},
+            {"A": np.ones((2, 3)), "T": np.eye(2)},
+        ):
+            with pytest.raises(InstanceFormatError):
+                save_instance(out, matrices)
+            assert not out.exists()
 
 
 class TestRadius:

@@ -36,6 +36,8 @@ class TestInstanceSpec:
             {"dim": 3, "rank_a": 3, "construction": "bogus"},
             {"dim": 3, "rank_a": 3, "construction": "nonadjointable_probe"},
             {"dim": 3, "rank_a": 3, "scale": 0.0},
+            {"dim": 3, "rank_a": 3, "scale": float("inf")},
+            {"dim": 3, "rank_a": 3, "scale": float("nan")},
         ],
     )
     def test_rejects_invalid(self, kwargs):

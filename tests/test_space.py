@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from anumrad import (
+    InstanceSpec,
     NotAdjointableError,
     a_inner,
     a_norm_vec,
+    commutator_compare,
+    commutator_th5,
     equality_half_norm,
+    gen_instance,
     is_a_selfadjoint,
     is_adjointable,
     make_a_operator,
@@ -14,15 +18,20 @@ from anumrad import (
     seminorm_mat,
     spectral_norm,
 )
+from anumrad import bounds
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
-def random_adjointable(rng, n, rank):
+def random_psd(rng, n, rank):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     w, u = np.linalg.eigh(g @ g.conj().T)
     w[: n - rank] = 0.0
-    ctx = psd_decompose((u * w) @ u.conj().T)
+    return (u * w) @ u.conj().T
+
+
+def random_adjointable(rng, n, rank):
+    ctx = psd_decompose(random_psd(rng, n, rank))
     t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if rank < n:
         t = ctx.proj @ t @ ctx.proj
@@ -69,6 +78,121 @@ class TestAdjointability:
     def test_zero_a_vacuous(self):
         ctx = psd_decompose(np.zeros((2, 2)))
         assert is_adjointable(ctx, JORDAN)
+
+
+def douglas_nxn(ctx, t):
+    """The n x n form of the Douglas test: ||(I - P)T*A|| against
+    max(||T*A||, lambda_max), with P the range projection of A."""
+    ta = t.conj().T @ ctx.a
+    residual = spectral_norm(ta - ctx.proj @ ta)
+    scale = max(spectral_norm(ta), ctx.lam_max)
+    return residual <= ctx.tol.check_rel_tol * scale if scale > 0.0 else True
+
+
+class TestAdjointabilityVerdicts:
+    """is_adjointable works on n x r matrices; its verdicts match the n x n
+    residual."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_rank(self, n):
+        rng = np.random.default_rng(300 + n)
+        for rank in range(n + 1):
+            ctx = psd_decompose(random_psd(rng, n, rank))
+            t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for m in (t, ctx.proj @ t @ ctx.proj):
+                assert is_adjointable(ctx, m) == douglas_nxn(ctx, m)
+            # a Gaussian T maps null(A) out of null(A) unless rank is 0 or n
+            assert is_adjointable(ctx, t) == (rank in (0, n))
+            assert is_adjointable(ctx, ctx.proj @ t @ ctx.proj)
+
+    def test_probe_draws(self):
+        for seed in range(50):
+            n = 2 + seed % 7
+            spec = InstanceSpec(
+                dim=n, rank_a=1 + seed % (n - 1), construction="nonadjointable_probe", seed=seed
+            )
+            a, t = gen_instance(spec)
+            ctx = psd_decompose(a)
+            assert not is_adjointable(ctx, t)
+            assert not douglas_nxn(ctx, t)
+
+    @pytest.mark.parametrize("rel, expected", [(1e-4, False), (1e-12, True)])
+    def test_leak_from_null_into_range(self, rel, expected):
+        # T = PT0P plus rel ||PT0P|| x y* with x in range(A) and y in null(A):
+        # the leak sends null(A) into range(A), so it breaks the Douglas
+        # condition by rel, far on either side of check_rel_tol = 1e-8
+        rng = np.random.default_rng(17)
+        for n in range(2, 9):
+            for rank in range(1, n):
+                ctx = psd_decompose(random_psd(rng, n, rank))
+                t0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                t = ctx.proj @ t0 @ ctx.proj
+                x = ctx.range_basis @ rng.standard_normal(rank)
+                y = (np.eye(n) - ctx.proj) @ rng.standard_normal(n)
+                leak = np.outer(x / np.linalg.norm(x), (y / np.linalg.norm(y)).conj())
+                m = t + rel * spectral_norm(t) * leak
+                assert is_adjointable(ctx, m) == douglas_nxn(ctx, m) == expected
+
+
+@pytest.fixture
+def count_svd(monkeypatch):
+    """Patch np.linalg.svd to record the shape of every matrix it is given."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+class TestNoEagerWork:
+    LAZY = ("sharp", "re_a", "im_a", "seminorm")
+
+    def test_full_rank_needs_no_svd(self, count_svd):
+        rng = np.random.default_rng(8)
+        ctx = psd_decompose(random_psd(rng, 6, 6))
+        make_a_operator(ctx, rng.standard_normal((6, 6)))
+        assert count_svd == []
+
+    def test_deficient_rank_needs_two_n_by_r_svds(self, count_svd):
+        rng = np.random.default_rng(9)
+        ctx = psd_decompose(random_psd(rng, 6, 4))
+        make_a_operator(ctx, ctx.proj @ rng.standard_normal((6, 6)) @ ctx.proj)
+        assert count_svd == [(6, 4), (6, 4)]
+
+    def test_nothing_derived_before_first_read(self):
+        rng = np.random.default_rng(10)
+        ctx, op = random_adjointable(rng, 5, 3)
+        assert not set(self.LAZY) & set(vars(op))
+        assert not {"pinv_a", "proj"} & set(vars(psd_decompose(ctx.a)))
+        sharp = ctx.pinv_a @ op.t.conj().T @ ctx.a
+        assert np.array_equal(op.sharp, sharp)
+        assert np.array_equal(op.re_a, (op.t + sharp) / 2.0)
+        assert np.array_equal(op.im_a, (op.t - sharp) * (-0.5j))
+        assert op.seminorm == spectral_norm(op.compressed)
+        assert set(self.LAZY) <= set(vars(op))
+
+    def test_commutator_products_keep_seminorm_unread(self, monkeypatch):
+        products = []
+        build = bounds.make_a_operator
+
+        def recording(ctx, t):
+            products.append(build(ctx, t))
+            return products[-1]
+
+        monkeypatch.setattr(bounds, "make_a_operator", recording)
+        rng = np.random.default_rng(11)
+        ctx, op_t = random_adjointable(rng, 4, 3)
+        op_x = make_a_operator(ctx, ctx.proj @ rng.standard_normal((4, 4)) @ ctx.proj)
+        op_y = make_a_operator(ctx, ctx.proj @ rng.standard_normal((4, 4)) @ ctx.proj)
+        for sign in ("+", "-"):
+            commutator_th5(op_t, op_x, op_y, sign, grid_n=90)
+        commutator_compare(op_t, op_x, grid_n=90)
+        assert len(products) == 4
+        assert not any("seminorm" in vars(prod) for prod in products)
 
 
 class TestSharp:
