@@ -8,10 +8,10 @@ unrefined radius scan of TX +- YT per sign (they read only upper ends), and
 each equality diagnostic evaluates the phase profile once.
 
 Every check is emitted as a :class:`BoundReport` whose slack is oriented so
-that "holds" always means slack >= -check_rel_tol * scale. Where w_A(T)
-appears on a side of an inequality, the enclosure is used conservatively:
-the lower estimate on the large side of >=, the upper estimate on the
-small side.
+that "holds" always means slack >= -check_rel_tol * max(|lhs|, |rhs|). Where
+w_A(T) appears on a side of an inequality, the enclosure is used
+conservatively: the lower estimate on the large side of >=, the upper
+estimate on the small side.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError
+from .linalg import DimensionMismatchError, TolerancePolicy
 from .radius import DiskTestResult, RadiusEstimate, _disk_verdict, phase_profile, radius_theta_scan
-from .space import AOperator, PsdContext, make_a_operator
+from .space import AOperator, PsdContext
 
 SQRT2 = math.sqrt(2.0)
 
@@ -37,7 +37,8 @@ class BoundReport:
     """One inequality instance with its verdict.
 
     slack is rhs - lhs for upper bounds and lhs - rhs for lower bounds;
-    tight additionally requires the verdict to hold.
+    scale is max(|lhs|, |rhs|), the unit of both tolerances; tight
+    additionally requires the verdict to hold.
     """
 
     formula_id: str
@@ -78,12 +79,11 @@ class CommutatorComparison:
     w_minus: float
 
 
-def _report(formula_id: str, lhs: float, rhs: float, ctx: PsdContext, kind: str) -> BoundReport:
-    slack = (rhs - lhs) if kind == "upper" else (lhs - rhs)
-    scale = max(abs(lhs), abs(rhs), ctx.lam_max)
-    holds = slack >= -ctx.tol.check_rel_tol * scale
-    tight = holds and abs(slack) <= ctx.tol.equality_rel_tol * scale
-    return BoundReport(formula_id, lhs, rhs, slack, holds, tight, scale)
+def _report(formula_id: str, lhs: float, rhs: float, tol: TolerancePolicy, kind: str) -> BoundReport:
+    small, large = (lhs, rhs) if kind == "upper" else (rhs, lhs)
+    holds = tol.at_most(small, large)
+    tight = holds and bool(tol.close(lhs, rhs))
+    return BoundReport(formula_id, lhs, rhs, large - small, holds, tight, max(abs(lhs), abs(rhs)))
 
 
 def classic_bounds(op: AOperator, rad: RadiusEstimate) -> list[BoundReport]:
@@ -92,12 +92,12 @@ def classic_bounds(op: AOperator, rad: RadiusEstimate) -> list[BoundReport]:
     with D = T#A T + T T#A."""
     norm = op.seminorm
     dnorm = op.form_norm
-    ctx = op.ctx
+    tol = op.ctx.tol
     return [
-        _report("eqv_lower", rad.lower, norm / 2.0, ctx, "lower"),
-        _report("eqv_upper", rad.upper, norm, ctx, "upper"),
-        _report("eqv1_lower", rad.lower**2, dnorm / 4.0, ctx, "lower"),
-        _report("eqv1_upper", rad.upper**2, dnorm / 2.0, ctx, "upper"),
+        _report("eqv_lower", rad.lower, norm / 2.0, tol, "lower"),
+        _report("eqv_upper", rad.upper, norm, tol, "upper"),
+        _report("eqv1_lower", rad.lower**2, dnorm / 4.0, tol, "lower"),
+        _report("eqv1_upper", rad.upper**2, dnorm / 2.0, tol, "upper"),
     ]
 
 
@@ -106,7 +106,7 @@ def bound_th1(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
     rad = rad if rad is not None else radius_theta_scan(op)
     re_n, im_n, _, _ = op.part_norms
     rhs = op.seminorm / 2.0 + abs(re_n - im_n) / 2.0
-    return _report("th1", rad.lower, rhs, op.ctx, "lower")
+    return _report("th1", rad.lower, rhs, op.ctx.tol, "lower")
 
 
 def bound_th2(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
@@ -114,7 +114,7 @@ def bound_th2(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
     rad = rad if rad is not None else radius_theta_scan(op)
     re_n, im_n, _, _ = op.part_norms
     rhs = math.sqrt(op.form_norm / 4.0 + abs(re_n**2 - im_n**2) / 2.0)
-    return _report("th2", rad.lower, rhs, op.ctx, "lower")
+    return _report("th2", rad.lower, rhs, op.ctx.tol, "lower")
 
 
 def bound_th3(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
@@ -122,7 +122,7 @@ def bound_th3(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
     rad = rad if rad is not None else radius_theta_scan(op)
     _, _, sum_n, diff_n = op.part_norms
     rhs = op.seminorm / 2.0 + abs(sum_n - diff_n) / (2.0 * SQRT2)
-    return _report("th3", rad.lower, rhs, op.ctx, "lower")
+    return _report("th3", rad.lower, rhs, op.ctx.tol, "lower")
 
 
 def bound_th4(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
@@ -130,24 +130,20 @@ def bound_th4(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
     rad = rad if rad is not None else radius_theta_scan(op)
     _, _, sum_n, diff_n = op.part_norms
     rhs = math.sqrt(op.form_norm / 4.0 + abs(sum_n**2 - diff_n**2) / 4.0)
-    return _report("th4", rad.lower, rhs, op.ctx, "lower")
+    return _report("th4", rad.lower, rhs, op.ctx.tol, "lower")
 
 
 def _equality_diag(op, rad, grid_n, case_id, target):
     if grid_n < 8 or grid_n % 2:
         raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")
-    ctx = op.ctx
-    eq_tol = ctx.tol.equality_rel_tol
-    equality_holds = abs(rad.lower - target) <= eq_tol * max(rad.lower, target, ctx.lam_max)
     # Im_A(e^{i theta}T) = Re_A(e^{i(theta - pi/2)}T) and f has period pi, so
     # on an even grid the Im profile is this Re profile rolled by grid_n/2
     # steps: one evaluation serves both checks and the disk test.
     vals = phase_profile(op, np.arange(grid_n) * (math.pi / grid_n))
-    re_im_constant = np.abs(vals - target).max() <= eq_tol * max(target, ctx.lam_max)
     return EqualityDiagnostic(
         case_id=case_id,
-        equality_holds=bool(equality_holds),
-        re_im_constant=bool(re_im_constant),
+        equality_holds=bool(op.ctx.tol.close(rad.lower, target)),
+        re_im_constant=bool(op.ctx.tol.close(vals, target).all()),
         disk=_disk_verdict(op, vals),
         target=target,
     )
@@ -181,9 +177,12 @@ def _sign_value(sign: str) -> float:
 
 
 def _commutator_radius(op_t, op_x, op_y, s, grid_n) -> float:
-    """Grid-certified upper end of w_A(TX + sYT); nothing reads its lower end."""
-    prod = op_t.t @ op_x.t + s * (op_y.t @ op_t.t)
-    return radius_theta_scan(make_a_operator(op_t.ctx, prod), grid_n, refine=False).upper
+    """Grid-certified upper end of w_A(TX + sYT); nothing reads its lower end.
+    B_A(H) is an algebra and an adjointable T maps null(A) into null(A), so
+    compress(TX) = compress(T) compress(X) needs no second Douglas check."""
+    c_t, c_x, c_y = op_t.compressed, op_x.compressed, op_y.compressed
+    prod = AOperator(op_t.ctx, op_t.t @ op_x.t + s * (op_y.t @ op_t.t), c_t @ c_x + s * (c_y @ c_t))
+    return radius_theta_scan(prod, grid_n, refine=False).upper
 
 
 def _reduced_radii(op: AOperator, w: float) -> tuple[float, float]:
@@ -209,7 +208,7 @@ def commutator_th5(
     """All three upper bounds on w_A(TX +- YT), from one radius scan of it:
     lem1, max(||X||_A, ||Y||_A) sqrt(2 ||T#A T + T T#A||_A), then the two
     refined bounds th5_i and th5_ii."""
-    ctx = _require_same_context(op_t, op_x, op_y)
+    tol = _require_same_context(op_t, op_x, op_y).tol
     s = _sign_value(sign)
     rad_t = rad_t if rad_t is not None else radius_theta_scan(op_t, grid_n, refine=False)
     lhs = _commutator_radius(op_t, op_x, op_y, s, grid_n)
@@ -218,9 +217,9 @@ def commutator_th5(
     red_i, red_ii = _reduced_radii(op_t, rad_t.upper)
     rhs_lem = norm_xy * math.sqrt(2.0 * op_t.form_norm)
     return (
-        _report("lem1", lhs, rhs_lem, ctx, "upper"),
-        _report("th5_i", lhs, factor * red_i, ctx, "upper"),
-        _report("th5_ii", lhs, factor * red_ii, ctx, "upper"),
+        _report("lem1", lhs, rhs_lem, tol, "upper"),
+        _report("th5_i", lhs, factor * red_i, tol, "upper"),
+        _report("th5_ii", lhs, factor * red_ii, tol, "upper"),
     )
 
 

@@ -76,8 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--grid-n", type=int, default=720)
     verify.add_argument("--samples", type=int, default=10_000)
-    verify.add_argument("--tol", type=float, default=None, help="override check_rel_tol")
-    verify.add_argument("--equality-tol", type=float, default=None, help="override equality_rel_tol")
+    rel = "relative to the larger of the two compared magnitudes (default %(default)s)"
+    tol = TolerancePolicy()
+    verify.add_argument("--tol", type=float, default=tol.check_rel_tol, help=f"holds: {rel}")
+    verify.add_argument(
+        "--equality-tol", type=float, default=tol.equality_rel_tol, help=f"tight, equality, disk: {rel}"
+    )
     verify.add_argument("--construction", choices=CONSTRUCTIONS, action="append", default=None)
     verify.add_argument("--out", default=None)
 
@@ -148,11 +152,6 @@ def _cmd_range(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol_kwargs = {}
-    if args.tol is not None:
-        tol_kwargs["check_rel_tol"] = args.tol
-    if args.equality_tol is not None:
-        tol_kwargs["equality_rel_tol"] = args.equality_tol
     config = SuiteConfig(
         n_instances=args.n,
         dims=tuple(args.dims),
@@ -160,7 +159,7 @@ def _cmd_verify(args) -> int:
         grid_n=args.grid_n,
         n_samples=args.samples,
         constructions=tuple(args.construction) if args.construction else ("random",),
-        tol=TolerancePolicy(**tol_kwargs),
+        tol=TolerancePolicy(check_rel_tol=args.tol, equality_rel_tol=args.equality_tol),
     )
     report = run_suite(config)
     _emit(aio.suite_report_to_dict(report), args.out)

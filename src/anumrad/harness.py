@@ -249,8 +249,7 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
     ev.reports.append(bound_th3(op, rad))
     ev.reports.append(bound_th4(op, rad))
 
-    scale = max(rad.upper, ctx.lam_max)
-    if sampled > rad.upper + config.tol.check_rel_tol * scale:
+    if not config.tol.at_most(sampled, rad.upper):
         ev.violations.append(f"[{index}] sampling oracle exceeds certified upper bound")
 
     for diag in (
@@ -268,11 +267,10 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
         ev.reports.extend(commutator_th5(op, ev.op_x, ev.op_y, sign, rad, config.grid_n))
     cmp = commutator_compare(op, ev.partner, rad, grid_n=config.grid_n)
     ev.comparison = cmp
-    tolc = config.tol.check_rel_tol * max(cmp.zamani_bound, ctx.lam_max)
-    if cmp.refined31 > cmp.zamani_bound + tolc or cmp.refined32 > cmp.zamani_bound + tolc:
+    if not config.tol.at_most(max(cmp.refined31, cmp.refined32), cmp.zamani_bound):
         ev.violations.append(f"[{index}] refined commutator bound exceeds baseline")
     for w in (cmp.w_plus, cmp.w_minus):
-        if w > min(cmp.refined31, cmp.refined32) + tolc:
+        if not config.tol.at_most(w, min(cmp.refined31, cmp.refined32)):
             ev.violations.append(f"[{index}] commutator radius exceeds refined bound")
 
     for report in ev.reports:
@@ -330,13 +328,9 @@ def search_half_norm_converse(
         ctx = psd_decompose(a, tol)
         op = make_a_operator(ctx, t)
         half = op.seminorm / 2.0
-        if half == 0.0:
-            continue
         re_n, im_n = op.part_norms[:2]
-        margin = tol.equality_rel_tol * max(half, ctx.lam_max)
-        if abs(re_n - half) > margin or abs(im_n - half) > margin:
+        if not (tol.close(re_n, half) and tol.close(im_n, half)):
             continue
-        rad = radius_theta_scan(op, grid_n)
-        if rad.lower > half + tol.check_rel_tol * max(half, ctx.lam_max):
+        if not tol.at_most(radius_theta_scan(op, grid_n).lower, half):
             found.append(spec)
     return found

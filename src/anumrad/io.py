@@ -41,7 +41,9 @@ def save_instance(path, matrices: dict) -> None:
     """Write an instance JSON {"dim": n, "A": ..., "T": ..., optional S/X/Y}."""
     if "A" not in matrices or "T" not in matrices:
         raise InstanceFormatError("instance requires at least matrices 'A' and 'T'")
-    dim = np.asarray(matrices["A"]).shape[0]
+    if np.ndim(matrices["A"]) != 2:
+        raise InstanceFormatError(f"matrix 'A' must be 2-d, got shape {np.shape(matrices['A'])}")
+    dim = np.shape(matrices["A"])[0]
     payload = {"dim": int(dim)}
     for key in MATRIX_KEYS:
         if matrices.get(key) is not None:

@@ -2,8 +2,9 @@
 
 Everything downstream (seminorms, adjoints, radius scans) is built on the
 three operations here: a checked Hermitian eigendecomposition, the spectral
-norm, and validation helpers. All decisions about "is this zero" are made
-relative to the largest eigenvalue through :class:`TolerancePolicy`.
+norm, and validation helpers. :class:`TolerancePolicy` holds the tolerances:
+the largest eigenvalue of A sets only the rank cutoff, and every verdict
+compares two quantities relative to the larger of their magnitudes.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ class TolerancePolicy:
     check_rel_tol: tolerance for residual and inequality verdicts.
     equality_rel_tol: looser tolerance for declaring an inequality tight;
         equality cases pass through eigendecompositions twice.
+
+    The one rule: a verdict compares x with y relative to max(|x|, |y|),
+    through :meth:`at_most` or :meth:`close`, so it does not change when
+    T or A is rescaled.
     """
 
     rank_rel_tol: float = 1e-10
@@ -49,6 +54,14 @@ class TolerancePolicy:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+    def at_most(self, x: float, y: float) -> bool:
+        """x <= y + check_rel_tol * max(|x|, |y|)."""
+        return bool(x <= y + self.check_rel_tol * max(abs(x), abs(y)))
+
+    def close(self, x, y):
+        """|x - y| <= equality_rel_tol * max(|x|, |y|), elementwise."""
+        return np.abs(x - y) <= self.equality_rel_tol * np.maximum(np.abs(x), np.abs(y))
 
 
 def as_matrix(m) -> np.ndarray:

@@ -272,5 +272,4 @@ def _disk_verdict(op: AOperator, vals: np.ndarray) -> DiskTestResult:
     """Disk verdict from profile values on a uniform grid over [0, pi)."""
     radius_k = float(vals.mean())
     max_dev = float(np.abs(vals - radius_k).max())
-    threshold = op.ctx.tol.equality_rel_tol * max(radius_k, op.ctx.lam_max)
-    return DiskTestResult(is_disk=max_dev <= threshold, radius_k=radius_k, max_deviation=max_dev)
+    return DiskTestResult(bool(op.ctx.tol.close(vals, radius_k).all()), radius_k, max_dev)

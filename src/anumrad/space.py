@@ -20,7 +20,6 @@ from .linalg import (
     as_square_matrix,
     as_vector,
     hermitian_eig,
-    spectral_norm,
 )
 
 
@@ -108,7 +107,8 @@ def is_adjointable(ctx: PsdContext, t) -> bool:
     """Douglas condition R(T*A) subset R(A), tested as a relative residual.
 
     True when rank(A) is 0 or n. Otherwise ||(I - QQ*)T*AQ||, which equals
-    ||(I - QQ*)T*A|| as A = AQQ*, against max(||T*AQ||, lambda_max).
+    ||(I - QQ*)T*A|| as A = AQQ*, against check_rel_tol * lambda_max * ||T||,
+    which bounds ||T*AQ|| and its rounding, so rescaling T or A keeps the verdict.
     """
     arr = as_square_matrix(t, ctx.dim)
     if ctx.rank in (0, ctx.dim):
@@ -116,7 +116,7 @@ def is_adjointable(ctx: PsdContext, t) -> bool:
     q = ctx.range_basis
     taq = arr.conj().T @ (ctx.a @ q)
     residual = _norm(taq - q @ (q.conj().T @ taq))
-    return residual <= ctx.tol.check_rel_tol * max(_norm(taq), ctx.lam_max)
+    return residual <= ctx.tol.check_rel_tol * ctx.lam_max * _norm(arr)
 
 
 def _norm(c: np.ndarray) -> float:
@@ -129,7 +129,8 @@ class AOperator:
     """An adjointable operator T bound to a PsdContext.
 
     Only T and ``compressed`` = ``ctx.compress(T)`` are stored: the r x r
-    A^{1/2} T (A^{1/2})+, whose spectral norms are the A-seminorms. Its parts
+    A^{1/2} T (A^{1/2})+, whose spectral norms are the A-seminorms; a product's
+    is the product of the factors' (``bounds._commutator_radius``). Its parts
     ``h_re``/``h_im`` (the compressions of Re_A(T), Im_A(T)), the norms and
     the n x n ``sharp`` = A+ T* A, ``re_a``, ``im_a`` are cached on first read.
     """
@@ -199,9 +200,8 @@ def seminorm_mat(ctx: PsdContext, m) -> float:
 
 
 def is_a_selfadjoint(ctx: PsdContext, t) -> bool:
-    """True iff AT = T*A within the relative check tolerance."""
+    """True iff ||AT - T*A|| <= check_rel_tol * lambda_max * ||T||, the
+    residual in the units of AT."""
     arr = as_square_matrix(t, ctx.dim)
-    at = ctx.a @ arr
-    residual = spectral_norm(at - arr.conj().T @ ctx.a)
-    scale = max(spectral_norm(at), ctx.lam_max)
-    return residual <= ctx.tol.check_rel_tol * scale if scale > 0.0 else True
+    residual = _norm(ctx.a @ arr - arr.conj().T @ ctx.a)
+    return residual <= ctx.tol.check_rel_tol * ctx.lam_max * _norm(arr)

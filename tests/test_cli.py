@@ -54,6 +54,14 @@ class TestGen:
             assert not out.exists()
 
 
+    @pytest.mark.parametrize("a", [5.0, [1.0, 2.0], np.ones((2, 2, 2))])
+    def test_save_rejects_a_that_is_not_2d(self, tmp_path, a):
+        out = tmp_path / "x.json"
+        with pytest.raises(InstanceFormatError, match="2-d"):
+            save_instance(out, {"A": a, "T": np.eye(2)})
+        assert not out.exists()
+
+
 class TestRadius:
     def test_jordan_enclosure(self, jordan_file, tmp_path):
         out = tmp_path / "rad.json"

@@ -37,6 +37,20 @@ class TestTolerancePolicy:
         with pytest.raises(ValueError):
             TolerancePolicy(rank_rel_tol=bad)
 
+    @pytest.mark.parametrize("c", [1.0, 2.0**-500, 2.0**500])
+    def test_rules_are_relative_to_the_larger_magnitude(self, c):
+        tol = TolerancePolicy()
+        assert tol.at_most(c, c) and tol.at_most(c, 2 * c)
+        assert tol.at_most(c * (1 + 0.5e-8), c) and not tol.at_most(c * (1 + 2e-8), c)
+        assert tol.at_most(-c, -c * (1 + 0.5e-8)) and not tol.at_most(-c, -c * (1 + 2e-8))
+        assert tol.close(c, c * (1 - 0.5e-6)) and not tol.close(c, c * (1 - 2e-6))
+        assert tol.at_most(0.0, 0.0) and tol.close(0.0, 0.0) and not tol.close(0.0, c)
+
+    def test_close_is_elementwise(self):
+        tol = TolerancePolicy()
+        vals = np.array([1.0, 1.0 + 0.5e-6, 1.0 + 2e-6, 0.0])
+        assert tol.close(vals, 1.0).tolist() == [True, True, False, False]
+
 
 class TestHermitianEig:
     def test_identity(self):

@@ -10,6 +10,7 @@ from anumrad import (
     commutator_th5,
     equality_half_norm,
     gen_instance,
+    gen_partner,
     is_a_selfadjoint,
     is_adjointable,
     make_a_operator,
@@ -82,11 +83,10 @@ class TestAdjointability:
 
 def douglas_nxn(ctx, t):
     """The n x n form of the Douglas test: ||(I - P)T*A|| against
-    max(||T*A||, lambda_max), with P the range projection of A."""
+    lambda_max ||T||, with P the range projection of A."""
     ta = t.conj().T @ ctx.a
     residual = spectral_norm(ta - ctx.proj @ ta)
-    scale = max(spectral_norm(ta), ctx.lam_max)
-    return residual <= ctx.tol.check_rel_tol * scale if scale > 0.0 else True
+    return residual <= ctx.tol.check_rel_tol * ctx.lam_max * spectral_norm(t)
 
 
 class TestAdjointabilityVerdicts:
@@ -116,6 +116,17 @@ class TestAdjointabilityVerdicts:
             assert not is_adjointable(ctx, t)
             assert not douglas_nxn(ctx, t)
 
+    @pytest.mark.parametrize("s", [1.0, 1e-3, 1e-5, 1e-6, 2.0**-400, 2.0**400])
+    def test_leak_is_judged_in_t_units(self, s):
+        # a null(A) -> range(A) leak of 1e-4 ||T|| breaks the Douglas
+        # condition however small or large T is; a threshold floored at
+        # lambda_max(A) let it through once s ||T|| fell below about 1e-4
+        ctx = psd_decompose(np.diag([1.0, 1.0, 0.0]))
+        t = np.array([[1.0, 2.0, 5.5e-4], [3.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
+        assert not is_adjointable(ctx, s * t)
+        with pytest.raises(NotAdjointableError):
+            make_a_operator(ctx, s * t)
+
     @pytest.mark.parametrize("rel, expected", [(1e-4, False), (1e-12, True)])
     def test_leak_from_null_into_range(self, rel, expected):
         # T = PT0P plus rel ||PT0P|| x y* with x in range(A) and y in null(A):
@@ -132,6 +143,20 @@ class TestAdjointabilityVerdicts:
                 leak = np.outer(x / np.linalg.norm(x), (y / np.linalg.norm(y)).conj())
                 m = t + rel * spectral_norm(t) * leak
                 assert is_adjointable(ctx, m) == douglas_nxn(ctx, m) == expected
+
+
+def record_products(monkeypatch):
+    """Record every AOperator that ``bounds`` builds (its commutator
+    products) in the returned list."""
+    products = []
+    build = bounds.AOperator
+
+    def recording(*args):
+        products.append(build(*args))
+        return products[-1]
+
+    monkeypatch.setattr(bounds, "AOperator", recording)
+    return products
 
 
 @pytest.fixture
@@ -161,7 +186,8 @@ class TestNoEagerWork:
         rng = np.random.default_rng(9)
         ctx = psd_decompose(random_psd(rng, 6, 4))
         make_a_operator(ctx, ctx.proj @ rng.standard_normal((6, 6)) @ ctx.proj)
-        assert count_svd == [(6, 4), (6, 4)]
+        # the n x r residual, then ||T|| for the threshold in T's units
+        assert count_svd == [(6, 4), (6, 6)]
 
     def test_nothing_derived_before_first_read(self):
         rng = np.random.default_rng(10)
@@ -176,14 +202,7 @@ class TestNoEagerWork:
         assert set(self.LAZY) <= set(vars(op))
 
     def test_commutator_products_keep_seminorm_unread(self, monkeypatch):
-        products = []
-        build = bounds.make_a_operator
-
-        def recording(ctx, t):
-            products.append(build(ctx, t))
-            return products[-1]
-
-        monkeypatch.setattr(bounds, "make_a_operator", recording)
+        products = record_products(monkeypatch)
         rng = np.random.default_rng(11)
         ctx, op_t = random_adjointable(rng, 4, 3)
         op_x = make_a_operator(ctx, ctx.proj @ rng.standard_normal((4, 4)) @ ctx.proj)
@@ -328,6 +347,33 @@ class TestOperatorInvariants:
         diag = equality_half_norm(op, rad, 180)
         assert diag.equality_holds and diag.re_im_constant and diag.disk.is_disk
         assert diag.target == diag.disk.radius_k == diag.disk.max_deviation == 0.0
+
+    @pytest.mark.parametrize(
+        "construction, n, rank",
+        [
+            ("random", 2, 1),
+            ("random", 5, 5),
+            ("random", 6, 3),
+            ("nilpotent_half", 6, 4),
+            ("shared_eigenbasis_selfadjoint", 5, 3),
+        ],
+    )
+    def test_commutator_products_are_compressed_products(self, monkeypatch, construction, n, rank):
+        # T maps null(A) into null(A), so compress(TX + sYT) is
+        # C_T C_X + s C_Y C_T: the product skips the n x n compression
+        products = record_products(monkeypatch)
+        a, t = gen_instance(InstanceSpec(dim=n, rank_a=rank, construction=construction, seed=n))
+        ctx = psd_decompose(a)
+        op_t = make_a_operator(ctx, t)
+        op_x, op_y = gen_partner(ctx, 1), gen_partner(ctx, 2)
+        for sign in ("+", "-"):
+            commutator_th5(op_t, op_x, op_y, sign, grid_n=90)
+        commutator_compare(op_t, op_x, grid_n=90)
+        assert len(products) == 4
+        scale = op_t.seminorm * max(op_x.seminorm, op_y.seminorm)
+        for prod in products:
+            assert prod.compressed.shape == (rank, rank)
+            assert spectral_norm(prod.compressed - ctx.compress(prod.t)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("rank", [1, 3, 5])
     def test_compress_is_the_sqrt_similarity(self, rank):
