@@ -17,6 +17,7 @@ from .bounds import (
     classic_bounds,
     commutator_compare,
     commutator_th5,
+    equality_diagnostics,
     equality_half_norm,
     equality_quarter_form,
 )

@@ -5,7 +5,7 @@ The evaluators read the per-operator norms cached on :class:`AOperator`
 (``seminorm``, ``part_norms``, ``form_norm``), so each is computed once per
 operator however many bounds use it. The commutator bounds share one
 unrefined radius scan of TX +- YT per sign (they read only upper ends), and
-each equality diagnostic evaluates the phase profile once.
+the two equality diagnostics share one evaluation of the phase profile.
 
 Every check is emitted as a :class:`BoundReport` whose slack is oriented so
 that "holds" always means slack >= -check_rel_tol * max(|lhs|, |rhs|). Where
@@ -101,65 +101,64 @@ def classic_bounds(op: AOperator, rad: RadiusEstimate) -> list[BoundReport]:
     ]
 
 
-def bound_th1(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
+def bound_th1(op: AOperator, rad: RadiusEstimate) -> BoundReport:
     """w_A(T) >= ||T||_A/2 + | ||Re_A(T)||_A - ||Im_A(T)||_A | / 2."""
-    rad = rad if rad is not None else radius_theta_scan(op)
     re_n, im_n, _, _ = op.part_norms
     rhs = op.seminorm / 2.0 + abs(re_n - im_n) / 2.0
     return _report("th1", rad.lower, rhs, op.ctx.tol, "lower")
 
 
-def bound_th2(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
+def bound_th2(op: AOperator, rad: RadiusEstimate) -> BoundReport:
     """w_A(T) >= sqrt(||D||_A/4 + | ||Re_A(T)||^2 - ||Im_A(T)||^2 | / 2)."""
-    rad = rad if rad is not None else radius_theta_scan(op)
     re_n, im_n, _, _ = op.part_norms
     rhs = math.sqrt(op.form_norm / 4.0 + abs(re_n**2 - im_n**2) / 2.0)
     return _report("th2", rad.lower, rhs, op.ctx.tol, "lower")
 
 
-def bound_th3(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
+def bound_th3(op: AOperator, rad: RadiusEstimate) -> BoundReport:
     """w_A(T) >= ||T||_A/2 + | ||Re+Im||_A - ||Re-Im||_A | / (2 sqrt 2)."""
-    rad = rad if rad is not None else radius_theta_scan(op)
     _, _, sum_n, diff_n = op.part_norms
     rhs = op.seminorm / 2.0 + abs(sum_n - diff_n) / (2.0 * SQRT2)
     return _report("th3", rad.lower, rhs, op.ctx.tol, "lower")
 
 
-def bound_th4(op: AOperator, rad: RadiusEstimate | None = None) -> BoundReport:
+def bound_th4(op: AOperator, rad: RadiusEstimate) -> BoundReport:
     """w_A(T) >= sqrt(||D||_A/4 + | ||Re+Im||^2 - ||Re-Im||^2 | / 4)."""
-    rad = rad if rad is not None else radius_theta_scan(op)
     _, _, sum_n, diff_n = op.part_norms
     rhs = math.sqrt(op.form_norm / 4.0 + abs(sum_n**2 - diff_n**2) / 4.0)
     return _report("th4", rad.lower, rhs, op.ctx.tol, "lower")
 
 
-def _equality_diag(op, rad, grid_n, case_id, target):
+def _equality_diag(op, rad, vals, case_id, target):
+    close = op.ctx.tol.close
+    holds, constant = bool(close(rad.lower, target)), bool(close(vals, target).all())
+    return EqualityDiagnostic(case_id, holds, constant, _disk_verdict(op, vals), target)
+
+
+def equality_diagnostics(
+    op: AOperator, rad: RadiusEstimate, grid_n: int = 360
+) -> tuple[EqualityDiagnostic, EqualityDiagnostic]:
+    """Diagnose w_A(T) = ||T||_A / 2 and w_A(T) = sqrt(||T#A T + T T#A||_A / 4):
+    each forces the Re and Im profiles to sit at its target for every theta and
+    W_A(T) to be the origin disk of that radius. On an even grid the Im profile
+    is the Re profile rolled by grid_n/2, so one profile serves all checks."""
     if grid_n < 8 or grid_n % 2:
         raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")
-    # Im_A(e^{i theta}T) = Re_A(e^{i(theta - pi/2)}T) and f has period pi, so
-    # on an even grid the Im profile is this Re profile rolled by grid_n/2
-    # steps: one evaluation serves both checks and the disk test.
     vals = phase_profile(op, np.arange(grid_n) * (math.pi / grid_n))
-    return EqualityDiagnostic(
-        case_id=case_id,
-        equality_holds=bool(op.ctx.tol.close(rad.lower, target)),
-        re_im_constant=bool(op.ctx.tol.close(vals, target).all()),
-        disk=_disk_verdict(op, vals),
-        target=target,
+    return (
+        _equality_diag(op, rad, vals, "half_norm", op.seminorm / 2.0),
+        _equality_diag(op, rad, vals, "quarter_form", math.sqrt(op.form_norm / 4.0)),
     )
 
 
 def equality_half_norm(op: AOperator, rad: RadiusEstimate, grid_n: int = 360) -> EqualityDiagnostic:
-    """Diagnose w_A(T) = ||T||_A / 2: equality forces both Cartesian-part
-    profiles to sit at the target for every theta and W_A(T) to be the
-    origin disk of radius ||T||_A / 2. grid_n must be even."""
-    return _equality_diag(op, rad, grid_n, "half_norm", op.seminorm / 2.0)
+    """The w_A(T) = ||T||_A / 2 element of ``equality_diagnostics``."""
+    return equality_diagnostics(op, rad, grid_n)[0]
 
 
 def equality_quarter_form(op: AOperator, rad: RadiusEstimate, grid_n: int = 360) -> EqualityDiagnostic:
-    """Diagnose w_A(T) = sqrt(||T#A T + T T#A||_A / 4), analogously."""
-    target = math.sqrt(op.form_norm / 4.0)
-    return _equality_diag(op, rad, grid_n, "quarter_form", target)
+    """The w_A(T) = sqrt(||T#A T + T T#A||_A / 4) element of ``equality_diagnostics``."""
+    return equality_diagnostics(op, rad, grid_n)[1]
 
 
 def _require_same_context(*ops: AOperator) -> PsdContext:

@@ -24,8 +24,7 @@ from .bounds import (
     classic_bounds,
     commutator_compare,
     commutator_th5,
-    equality_half_norm,
-    equality_quarter_form,
+    equality_diagnostics,
 )
 from .linalg import TolerancePolicy
 from .radius import RadiusEstimate, radius_sampling, radius_theta_scan
@@ -37,6 +36,9 @@ from .space import (
     make_a_operator,
     psd_decompose,
 )
+
+# Angles of the one phase profile behind both equality diagnostics.
+_EQUALITY_GRID_N = 180
 
 CONSTRUCTIONS = (
     "random",
@@ -175,7 +177,6 @@ class SuiteConfig:
     n_samples: int = 10_000
     constructions: tuple = ("random",)
     tol: TolerancePolicy = field(default_factory=TolerancePolicy)
-    equality_grid_n: int = 180
 
     def __post_init__(self):
         if not self.dims:
@@ -184,6 +185,10 @@ class SuiteConfig:
             raise ValueError("constructions must not be empty")
         if self.n_instances < 0:
             raise ValueError(f"n_instances must be >= 0, got {self.n_instances}")
+        if self.grid_n < 4:
+            raise ValueError(f"grid_n must be >= 4, got {self.grid_n}")
+        if self.n_samples < 0:
+            raise ValueError(f"n_samples must be >= 0, got {self.n_samples}")
 
     def instance_specs(self) -> list[InstanceSpec]:
         rng = np.random.default_rng(self.seed)
@@ -244,18 +249,12 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
     )
 
     ev.reports.extend(classic_bounds(op, rad))
-    ev.reports.append(bound_th1(op, rad))
-    ev.reports.append(bound_th2(op, rad))
-    ev.reports.append(bound_th3(op, rad))
-    ev.reports.append(bound_th4(op, rad))
+    ev.reports += [bound_th1(op, rad), bound_th2(op, rad), bound_th3(op, rad), bound_th4(op, rad)]
 
     if not config.tol.at_most(sampled, rad.upper):
         ev.violations.append(f"[{index}] sampling oracle exceeds certified upper bound")
 
-    for diag in (
-        equality_half_norm(op, rad, config.equality_grid_n),
-        equality_quarter_form(op, rad, config.equality_grid_n),
-    ):
+    for diag in equality_diagnostics(op, rad, _EQUALITY_GRID_N):
         ev.diagnostics.append(diag)
         if diag.equality_holds and not (diag.re_im_constant and diag.disk.is_disk):
             ev.violations.append(f"[{index}] equality {diag.case_id} without its necessity conditions")

@@ -21,7 +21,7 @@ import numpy as np
 from .linalg import LinAlgInputError
 from .space import AOperator
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET = np.array([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75])  # probe offsets, in steps
 
 
 class DegenerateRankError(LinAlgInputError):
@@ -34,11 +34,10 @@ class RadiusEstimate:
 
     theta_star is the (refined) maximizer of f on [0, pi). grid_n is the
     finest spacing pi / grid_n that the nested, pruned scan reaches: lower
-    comes from the maximum of f over that uniform grid (raised by
-    refinement), and upper from the larger of that maximum and the bounds
-    of the finest cells that survived pruning, never above the uniform
-    grid's certificate. The certificate keeps
-    upper <= lower / cos(pi / (2 grid_n)).
+    comes from the maximum of f over that uniform grid, raised by a bracket
+    search around its argmax, and upper from the larger of that maximum and
+    the bounds of the finest surviving cells, never above the uniform grid's
+    certificate, which keeps upper <= lower / cos(pi / (2 grid_n)).
     """
 
     lower: float
@@ -87,27 +86,6 @@ def phase_profile(op: AOperator, thetas) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(_support_pencils(op, th))).max(axis=-1, initial=0.0)
 
 
-def _golden_max(f, a: float, b: float, xtol: float = 1e-12):
-    """Golden-section maximization on [a, b]; returns the best probed point."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        x, v = (c, fc) if fc >= fd else (d, fd)
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
-
-
 def _cell_bounds(fa: np.ndarray, fb: np.ndarray, width: float) -> np.ndarray:
     """Upper bound on f over each cell [t, t + width] from its endpoint
     values fa = f(t) and fb = f(t + width); valid for any width below pi/2.
@@ -148,11 +126,11 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     above the uniform grid's certificate. A profile with nothing to drop (a
     flat one) evaluates each grid angle exactly once.
 
-    The grid maximum is a certified lower bound; golden-section refinement
-    within the argmax cell can only raise it and never touches the
-    grid-based upper certificate, since pruning reads grid values only.
-    refine=False is for callers that read only ``upper``, which does not
-    depend on it.
+    The grid maximum is a certified lower bound. Refinement, a batched
+    bracket search around the grid argmax (42 angles in 7 calls), can only
+    raise it and never touches the grid-based upper certificate, since
+    pruning reads grid values only. refine=False is for callers that read
+    only ``upper``, which does not depend on it.
     """
     if grid_n < 4:
         raise ValueError(f"grid_n must be >= 4, got {grid_n}")
@@ -180,14 +158,16 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     # far below the certificate width, it absorbs evaluation noise so that
     # the enclosure stays valid and doubling the grid never loosens it.
     guard = grid_max * (delta / math.pi) ** 2 * 1e-3
-    lower, theta_star = max(grid_max - guard, 0.0), j * delta
+    theta_star, best, h = j * delta, grid_max, delta
     if refine and grid_max > 0.0:
-        def f(th):
-            return float(phase_profile(op, [th])[0])
-
-        x, v = _golden_max(f, theta_star - delta, theta_star + delta)
-        if v - guard > lower:
-            lower, theta_star = v - guard, x
+        for _ in range(7):
+            probes = theta_star + h * _BRACKET
+            probed = phase_profile(op, probes)
+            k = int(np.argmax(probed))
+            if probed[k] > best:
+                theta_star, best = float(probes[k]), float(probed[k])
+            h /= 4.0
+    lower = max(best - guard, 0.0)
     upper = max(max(grid_max, float(bounds.max())) + guard, lower)
     return RadiusEstimate(
         lower=lower,

@@ -14,6 +14,7 @@ from anumrad import (
     classic_bounds,
     commutator_compare,
     commutator_th5,
+    equality_diagnostics,
     equality_half_norm,
     equality_quarter_form,
     gen_instance,
@@ -120,10 +121,6 @@ class TestRefinedLowerBounds:
         assert rep.rhs == pytest.approx(SQRT2, rel=1e-12)
         assert rep.holds and rep.tight
 
-    def test_default_radius_computed_when_omitted(self):
-        op, rad = prepared(np.eye(2), JORDAN)
-        assert bound_th1(op).rhs == bound_th1(op, rad).rhs
-
     def test_refinements_dominate_classical(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -183,6 +180,13 @@ class TestEqualityDiagnostics:
         for diag in (equality_half_norm(op, rad, 8), equality_quarter_form(op, rad, 8)):
             assert diag.equality_holds and diag.re_im_constant and diag.disk.is_disk
 
+    @pytest.mark.parametrize("t", [JORDAN, np.diag([1.0, -1.0]), np.diag([1.0 + 1.0j, 0.0])])
+    def test_pair_matches_single_diagnostics(self, t):
+        op, rad = prepared(np.eye(2), t)
+        for grid_n in (8, 180):
+            pair = equality_diagnostics(op, rad, grid_n)
+            assert pair == (equality_half_norm(op, rad, grid_n), equality_quarter_form(op, rad, grid_n))
+
     @pytest.mark.parametrize("grid_n", [181, 9, 6])
     def test_rejects_odd_or_tiny_grid(self, grid_n):
         op, rad = prepared(np.eye(2), JORDAN)
@@ -190,6 +194,8 @@ class TestEqualityDiagnostics:
             equality_half_norm(op, rad, grid_n)
         with pytest.raises(ValueError):
             equality_quarter_form(op, rad, grid_n)
+        with pytest.raises(ValueError):
+            equality_diagnostics(op, rad, grid_n)
 
     def test_serialized_keys(self):
         op, rad = prepared(np.eye(2), JORDAN)

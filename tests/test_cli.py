@@ -163,6 +163,12 @@ class TestVerify:
         assert main(["verify", "--dims", "5..2"]) == EXIT_USAGE
         assert main(["verify", "--n", "-3"]) == EXIT_USAGE
 
+    def test_invalid_grid_or_samples_is_usage_error_without_instances(self, tmp_path):
+        out = tmp_path / "suite.json"
+        for flags in (["--grid-n", "3"], ["--samples", "-5"]):
+            assert main(["verify", "--n", "0", *flags, "--out", str(out)]) == EXIT_USAGE
+            assert not out.exists()
+
     def test_counterexample_exit_code_is_distinct(self):
         assert EXIT_COUNTEREXAMPLE == 1
 

@@ -18,6 +18,7 @@ from anumrad import (
     search_half_norm_converse,
     spectral_norm,
 )
+from anumrad import bounds
 from anumrad.io import load_instance, save_instance
 
 
@@ -120,7 +121,14 @@ class TestSuite:
         assert all(1 <= s.rank_a <= s.dim for s in specs)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"dims": ()}, {"constructions": ()}, {"n_instances": -1}]
+        "kwargs",
+        [
+            {"dims": ()},
+            {"constructions": ()},
+            {"n_instances": -1},
+            {"n_instances": 0, "grid_n": 3},
+            {"n_instances": 0, "n_samples": -5},
+        ],
     )
     def test_config_rejects_empty_or_negative(self, kwargs):
         with pytest.raises(ValueError):
@@ -138,6 +146,25 @@ class TestSuite:
         assert len(report.evaluations) == 12
         assert all(ev.adjointable for ev in report.evaluations)
         assert all(ev.rad.lower <= ev.rad.upper for ev in report.evaluations)
+
+    def test_equality_stage_evaluates_one_profile(self, monkeypatch):
+        # bounds.phase_profile is read only by the equality diagnostics; the
+        # radius scans call radius.phase_profile.
+        calls = []
+        profile = bounds.phase_profile
+
+        def recording(op, thetas):
+            calls.append(int(np.size(thetas)))
+            return profile(op, thetas)
+
+        monkeypatch.setattr(bounds, "phase_profile", recording)
+        config = SuiteConfig(n_instances=7, seed=42, n_samples=100)
+        assert [s.dim for s in config.instance_specs()] == list(range(2, 9))
+        for i, spec in enumerate(config.instance_specs()):
+            calls.clear()
+            ev = evaluate_instance(spec, config, index=i)
+            assert ev.adjointable
+            assert calls == [180]
 
     def test_probe_instances_recorded_not_flagged(self):
         spec = InstanceSpec(dim=3, rank_a=1, construction="nonadjointable_probe", seed=2)

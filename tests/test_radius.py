@@ -15,7 +15,7 @@ from anumrad import (
     radius_theta_scan,
     range_cloud,
 )
-from anumrad.radius import _golden_max
+from anumrad import radius
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 ADJOINTABLE = ("random", "nilpotent_half", "shared_eigenbasis_selfadjoint")
@@ -26,7 +26,7 @@ def make_op(a, t):
 
 
 def uniform_reference(op, grid_n):
-    """The scan on the full uniform grid: argmax, guard, golden refinement
+    """The scan on the full uniform grid: argmax, guard, bracket refinement
     and the largest cosine cell bound over all grid_n cells."""
     delta = math.pi / grid_n
     thetas = np.arange(grid_n) * delta
@@ -34,14 +34,18 @@ def uniform_reference(op, grid_n):
     j = int(np.argmax(vals))
     grid_max = float(vals[j])
     guard = grid_max * (delta / math.pi) ** 2 * 1e-3
-    lower, theta_star = max(grid_max - guard, 0.0), float(thetas[j])
+    theta_star, best, h = float(thetas[j]), grid_max, delta
     if grid_max > 0.0:
-        def f(th):
-            return float(phase_profile(op, [th])[0])
-
-        x, v = _golden_max(f, theta_star - delta, theta_star + delta)
-        if v - guard > lower:
-            lower, theta_star = v - guard, x
+        # Seven rounds of six probes at quarter steps around the best point;
+        # the step shrinks fourfold per round.
+        for _ in range(7):
+            probes = theta_star + h * np.array([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75])
+            probed = phase_profile(op, probes)
+            k = int(np.argmax(probed))
+            if probed[k] > best:
+                theta_star, best = float(probes[k]), float(probed[k])
+            h /= 4.0
+    lower = max(best - guard, 0.0)
     fa, fb = vals, np.roll(vals, -1)
     cos_d, sin_d = math.cos(delta), math.sin(delta)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -51,6 +55,19 @@ def uniform_reference(op, grid_n):
     cell = np.where(interior, crossing, np.maximum(fa, fb))
     certificate = float(np.max(np.maximum(cell, np.maximum(fa, fb))))
     return lower, max(certificate + guard, lower), theta_star % math.pi
+
+
+def record_profile_calls(monkeypatch):
+    """Patch the scan's phase_profile to record the angle count of each call."""
+    calls = []
+    profile = radius.phase_profile
+
+    def recording(op, thetas):
+        calls.append(int(np.size(thetas)))
+        return profile(op, thetas)
+
+    monkeypatch.setattr(radius, "phase_profile", recording)
+    return calls
 
 
 def count_eigvalsh_mats(monkeypatch):
@@ -89,8 +106,13 @@ class TestThetaScan:
     def test_normal_matrix_spectral_radius(self):
         # for a normal T with A = I the radius is max |eigenvalue|
         t = np.diag([1.0 + 1.0j, -0.5, 0.25j])
-        rad = radius_theta_scan(make_op(np.eye(3), t))
+        op = make_op(np.eye(3), t)
+        rad = radius_theta_scan(op)
         assert rad.lower == pytest.approx(abs(1.0 + 1.0j), rel=1e-8)
+        # lower sits one guard below f(theta_star): test the maximizer itself.
+        for grid_n in (64, 720):
+            theta_star = radius_theta_scan(op, grid_n).theta_star
+            assert phase_profile(op, [theta_star])[0] == pytest.approx(math.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(17)
@@ -124,10 +146,28 @@ class TestThetaScan:
         assert refined.upper == coarse.upper
         assert refined.lower == pytest.approx(1.0, abs=1e-6)
         assert refined.lower > coarse.lower
+        for grid_n in (64, 720):
+            theta_star = radius_theta_scan(op, grid_n).theta_star
+            assert phase_profile(op, [theta_star])[0] == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             radius_theta_scan(make_op(np.eye(2), JORDAN), grid_n=3)
+
+
+@pytest.mark.parametrize("grid_n", [8, 64, 181, 720])
+def test_refinement_adds_at_most_seven_calls_over_42_angles(monkeypatch, grid_n):
+    calls = record_profile_calls(monkeypatch)
+    for construction in ADJOINTABLE:
+        for seed in range(3):
+            op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=4, construction=construction, seed=seed)))
+            calls.clear()
+            radius_theta_scan(op, grid_n, refine=False)
+            unrefined = list(calls)
+            calls.clear()
+            radius_theta_scan(op, grid_n)
+            assert len(calls) - len(unrefined) <= 7
+            assert sum(calls) - sum(unrefined) <= 42
 
 
 @pytest.mark.parametrize("construction", ADJOINTABLE)
