@@ -40,6 +40,9 @@ from .space import (
 # Angles of the one phase profile behind both equality diagnostics.
 _EQUALITY_GRID_N = 180
 
+# Dimensions an instance may have, inclusive.
+_DIM_MIN, _DIM_MAX = 2, 64
+
 CONSTRUCTIONS = (
     "random",
     "nilpotent_half",
@@ -63,8 +66,8 @@ class InstanceSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not 2 <= self.dim <= 64:
-            raise ValueError(f"dim must be in 2..64, got {self.dim}")
+        if not _DIM_MIN <= self.dim <= _DIM_MAX:
+            raise ValueError(f"dim must be in {_DIM_MIN}..{_DIM_MAX}, got {self.dim}")
         if not 0 <= self.rank_a <= self.dim:
             raise ValueError(f"rank_a must be in 0..dim, got {self.rank_a}")
         if self.construction not in CONSTRUCTIONS:
@@ -181,6 +184,9 @@ class SuiteConfig:
     def __post_init__(self):
         if not self.dims:
             raise ValueError("dims must not be empty")
+        bad = [d for d in self.dims if not _DIM_MIN <= d <= _DIM_MAX]
+        if bad:
+            raise ValueError(f"dims must be in {_DIM_MIN}..{_DIM_MAX}, got {bad}")
         if not self.constructions:
             raise ValueError("constructions must not be empty")
         if self.n_instances < 0:

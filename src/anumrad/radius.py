@@ -14,6 +14,7 @@ uniform grid or a tighter one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,35 +179,62 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     )
 
 
+def _count(value, name: str) -> int:
+    """value as an int; bools and non-integers raise TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """The real matrix [[Re m, -Im m], [Im m, Re m]], which acts on stacked
+    (Re x, Im x) as m acts on x."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
 def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> float:
     """Monte-Carlo lower oracle: max |<Tx,x>_A| over random unit-A-norm x.
 
     Draws complex Gaussians z in C^n and takes x = (A^{1/2})+ z, uniformly
     distributed on the unit A-sphere of range(A) after normalizing. In
     range(A) coordinates u = Q* z this reads <Ax,x> = |u|^2 and
-    <ATx,x> = u* C u with C = ``op.compressed``. Near-null draws are
-    rejected. Deterministic for a fixed seed; never exceeds the true radius.
-    Returns 0 for rank(A) = 0.
+    <ATx,x> = u* C u with C = ``op.compressed``. The arithmetic is real:
+    each chunk of draws is one (2n, m) array whose first n rows are Re z and
+    last n rows Im z (the same draws as two (n, m) calls), and Q* and C act
+    through their real forms, so u and Cu come as stacked real and imaginary
+    parts. Near-null draws are rejected. Deterministic for a fixed seed;
+    never exceeds the true radius beyond rounding. Returns 0 for
+    rank(A) = 0.
     """
+    n_samples = _count(n_samples, "n_samples")
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
     ctx = op.ctx
     if ctx.rank == 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    qh = ctx.range_basis.conj().T
+    r = ctx.rank
+    q_real = _real_form(ctx.range_basis.conj().T)
+    c_real = _real_form(op.compressed)
     best = 0.0
-    remaining = int(n_samples)
+    remaining = n_samples
     while remaining > 0:
         m = min(remaining, 50_000)
         remaining -= m
-        z = rng.standard_normal((ctx.dim, m)) + 1j * rng.standard_normal((ctx.dim, m))
-        u = qh @ z
-        nsq = np.einsum("ij,ij->j", u.conj(), u).real
-        ok = nsq >= 1e-16 * np.einsum("ij,ij->j", z.conj(), z).real
+        xy = rng.standard_normal((2 * ctx.dim, m))
+        u = q_real @ xy
+        w = c_real @ u
+        nsq = np.einsum("ij,ij->j", u, u)
+        ok = nsq >= 1e-16 * np.einsum("ij,ij->j", xy, xy)
         if not ok.any():
             continue
-        vals = np.abs(np.einsum("ij,ij->j", u.conj(), op.compressed @ u))
+        # u* (Cu) with u = a + ib and Cu = p + iq: (a.p + b.q) + i (a.q - b.p).
+        re = np.einsum("ij,ij->j", u, w)
+        im = np.einsum("ij,ij->j", u[:r], w[r:]) - np.einsum("ij,ij->j", u[r:], w[:r])
+        vals = np.hypot(re, im)
         best = max(best, float((vals[ok] / nsq[ok]).max()))
     return best
 
@@ -214,11 +242,16 @@ def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> fl
 def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     """Point cloud of W_A(T): boundary support points plus random interior.
 
-    For each direction theta the top eigenvector v of the r x r support
-    pencil realizes the boundary point v* C v maximizing Re(e^{i theta} z)
-    over W_A(T); all directions go through one batched eigensolve. Random
-    unit vectors in range(A) supply interior points (theta recorded as nan).
+    For each direction theta_k = 2 pi k / n_theta the top eigenvector v of
+    the r x r support pencil H(theta_k) realizes the boundary point v* C v
+    maximizing Re(e^{i theta} z) over W_A(T). Since H(theta + pi) = -H(theta),
+    the bottom eigenvector of H(theta) serves the direction theta + pi, so one
+    batched eigensolve over the distinct angles (2 pi k / n_theta) mod pi
+    covers every direction: n_theta / 2 matrices for even n_theta, n_theta
+    for odd. Random unit vectors in range(A) supply interior points (theta
+    recorded as nan).
     """
+    n_theta = _count(n_theta, "n_theta")
     if n_theta < 1:
         raise ValueError(f"n_theta must be >= 1, got {n_theta}")
     ctx = op.ctx
@@ -226,8 +259,11 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
         raise DegenerateRankError("W_A(T) is empty when A = 0")
     c = op.compressed
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    _, u = np.linalg.eigh(_support_pencils(op, thetas))
-    v = u[:, :, -1]
+    twice = 2 * np.arange(n_theta)
+    top = twice < n_theta  # theta_k in [0, pi): top eigenvector of H(theta_k)
+    angles, pair = np.unique(twice % n_theta, return_inverse=True)
+    _, u = np.linalg.eigh(_support_pencils(op, math.pi * angles / n_theta))
+    v = np.where(top[:, None], u[pair, :, -1], u[pair, :, 0])
     boundary = np.einsum("ki,ij,kj->k", v.conj(), c, v)
 
     rng = np.random.default_rng(seed)

@@ -169,6 +169,12 @@ class TestVerify:
             assert main(["verify", "--n", "0", *flags, "--out", str(out)]) == EXIT_USAGE
             assert not out.exists()
 
+    def test_dims_outside_instance_range_is_usage_error(self, tmp_path):
+        out = tmp_path / "suite.json"
+        for flags in (["--n", "1", "--dims", "2,99"], ["--n", "0", "--dims", "1,99"]):
+            assert main(["verify", *flags, "--out", str(out)]) == EXIT_USAGE
+            assert not out.exists()
+
     def test_counterexample_exit_code_is_distinct(self):
         assert EXIT_COUNTEREXAMPLE == 1
 

@@ -128,6 +128,9 @@ class TestSuite:
             {"n_instances": -1},
             {"n_instances": 0, "grid_n": 3},
             {"n_instances": 0, "n_samples": -5},
+            {"dims": (2, 99)},
+            {"n_instances": 0, "dims": (1, 99)},
+            {"n_instances": 0, "dims": (65,)},
         ],
     )
     def test_config_rejects_empty_or_negative(self, kwargs):

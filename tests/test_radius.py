@@ -57,6 +57,57 @@ def uniform_reference(op, grid_n):
     return lower, max(certificate + guard, lower), theta_star % math.pi
 
 
+def complex_sampling_reference(op, n_samples, seed):
+    """The sampling oracle in complex arithmetic: z = x + iy from two (n, m)
+    draws per chunk, u = Q* z and |u* C u| / |u|^2 over the accepted draws."""
+    ctx = op.ctx
+    if ctx.rank == 0:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    qh = ctx.range_basis.conj().T
+    best = 0.0
+    remaining = int(n_samples)
+    while remaining > 0:
+        m = min(remaining, 50_000)
+        remaining -= m
+        z = rng.standard_normal((ctx.dim, m)) + 1j * rng.standard_normal((ctx.dim, m))
+        u = qh @ z
+        nsq = np.einsum("ij,ij->j", u.conj(), u).real
+        ok = nsq >= 1e-16 * np.einsum("ij,ij->j", z.conj(), z).real
+        if not ok.any():
+            continue
+        vals = np.abs(np.einsum("ij,ij->j", u.conj(), op.compressed @ u))
+        best = max(best, float((vals[ok] / nsq[ok]).max()))
+    return best
+
+
+def cloud_reference(op, n_theta, seed):
+    """The range cloud with one eigensolve per direction: thetas, boundary
+    points and interior points."""
+    c = op.compressed
+    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    _, u = np.linalg.eigh(radius._support_pencils(op, thetas))
+    v = u[:, :, -1]
+    boundary = np.einsum("ki,ij,kj->k", v.conj(), c, v)
+    rng = np.random.default_rng(seed)
+    r = op.ctx.rank
+    z = rng.standard_normal((r, n_theta)) + 1j * rng.standard_normal((r, n_theta))
+    z /= np.linalg.norm(z, axis=0)
+    interior = np.einsum("ij,ik,kj->j", z.conj(), c, z)
+    return thetas, boundary, interior
+
+
+def support_spectra(op, thetas):
+    """Eigenvalues of H(theta) = Re(e^{i theta} C), one eigvalsh per angle,
+    built from C directly rather than from the Cartesian parts."""
+    c = op.compressed
+    spectra = []
+    for th in thetas:
+        rotated = np.exp(1j * th) * c
+        spectra.append(np.linalg.eigvalsh((rotated + rotated.conj().T) / 2.0))
+    return np.array(spectra)
+
+
 def record_profile_calls(monkeypatch):
     """Patch the scan's phase_profile to record the angle count of each call."""
     calls = []
@@ -70,16 +121,16 @@ def record_profile_calls(monkeypatch):
     return calls
 
 
-def count_eigvalsh_mats(monkeypatch):
-    """Patch np.linalg.eigvalsh to count the matrices it is given."""
+def count_mats(monkeypatch, name):
+    """Patch np.linalg.<name> to count the matrices it is given."""
     counted = [0]
-    eigvalsh = np.linalg.eigvalsh
+    solver = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         counted[0] += int(np.prod(np.shape(a)[:-2]))
-        return eigvalsh(a, *args, **kwargs)
+        return solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return counted
 
 
@@ -200,20 +251,20 @@ class TestPruning:
         rng = np.random.default_rng(5)
         t = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         op = make_op(np.eye(16), t)
-        counted = count_eigvalsh_mats(monkeypatch)
+        counted = count_mats(monkeypatch, "eigvalsh")
         radius_theta_scan(op, 720, refine=False)
         assert counted[0] <= 240
 
     def test_flat_profile_evaluates_each_angle_once(self, monkeypatch):
         op = make_op(np.eye(2), JORDAN)
-        counted = count_eigvalsh_mats(monkeypatch)
+        counted = count_mats(monkeypatch, "eigvalsh")
         radius_theta_scan(op, 720, refine=False)
         assert counted[0] == 720
 
     def test_odd_grid_is_one_uniform_level(self, monkeypatch):
         rng = np.random.default_rng(5)
         op = make_op(np.eye(4), rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        counted = count_eigvalsh_mats(monkeypatch)
+        counted = count_mats(monkeypatch, "eigvalsh")
         radius_theta_scan(op, 181, refine=False)
         assert counted[0] == 181
 
@@ -299,6 +350,38 @@ class TestSampling:
         op = make_op(np.diag([2.0, 1.0]), JORDAN)
         assert radius_sampling(op, 2000, seed=5) == radius_sampling(op, 2000, seed=5)
 
+    @pytest.mark.parametrize("n_samples", [0.5, 2.0, True, False, "10", None])
+    def test_rejects_non_integer_count(self, n_samples):
+        op = make_op(np.eye(2), JORDAN)
+        with pytest.raises(TypeError):
+            radius_sampling(op, n_samples)
+
+    def test_accepts_numpy_integer_count(self):
+        op = make_op(np.diag([2.0, 1.0]), JORDAN)
+        assert radius_sampling(op, np.int64(500), seed=2) == radius_sampling(op, 500, seed=2)
+
+
+@pytest.mark.parametrize("construction", ADJOINTABLE)
+def test_sampling_matches_complex_reference(construction):
+    # Same draws, same filter: the real-arithmetic oracle agrees with the
+    # complex one up to rounding, at every rank including 0 and full.
+    for dim in range(2, 9):
+        for rank_a in range(dim + 1):
+            spec = InstanceSpec(dim=dim, rank_a=rank_a, construction=construction, seed=10 * dim + rank_a)
+            op = make_op(*gen_instance(spec))
+            expected = complex_sampling_reference(op, 2000, seed=dim)
+            assert radius_sampling(op, 2000, seed=dim) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("dim, rank_a, n_samples", [(64, 16, 10_000), (64, 64, 10_000), (3, 2, 120_001)])
+def test_sampling_matches_complex_reference_large(dim, rank_a, n_samples):
+    # Dim 64 at deficient and full rank; 120,001 samples make three chunks,
+    # the last one partial.
+    for construction in ADJOINTABLE:
+        op = make_op(*gen_instance(InstanceSpec(dim=dim, rank_a=rank_a, construction=construction, seed=4)))
+        expected = complex_sampling_reference(op, n_samples, seed=11)
+        assert radius_sampling(op, n_samples, seed=11) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
 
 class TestRangeCloud:
     def test_jordan_boundary_circle(self):
@@ -330,6 +413,53 @@ class TestRangeCloud:
     def test_rank_zero_rejected(self):
         with pytest.raises(DegenerateRankError):
             range_cloud(make_op(np.zeros((2, 2)), JORDAN))
+
+    @pytest.mark.parametrize("n_theta", [2.5, 4.0, True, "8", None])
+    def test_rejects_non_integer_count_before_solving(self, monkeypatch, n_theta):
+        op = make_op(np.eye(2), JORDAN)
+        counted = count_mats(monkeypatch, "eigh")
+        with pytest.raises(TypeError):
+            range_cloud(op, n_theta)
+        assert counted[0] == 0
+
+    @pytest.mark.parametrize("construction", ADJOINTABLE)
+    @pytest.mark.parametrize("n_theta", [1, 2, 3, 37, 90, 360])
+    def test_boundary_points_attain_support_function(self, construction, n_theta):
+        # Re(e^{i theta} p) = lambda_max(H(theta)) at every direction, also
+        # where the top eigenvalue is multiple (A-self-adjoint T at 3 pi / 2),
+        # since every top eigenvector attains it.
+        for dim, rank_a in ((2, 2), (5, 3), (8, 8)):
+            op = make_op(*gen_instance(InstanceSpec(dim=dim, rank_a=rank_a, construction=construction, seed=dim)))
+            cloud = range_cloud(op, n_theta, seed=3)
+            thetas, points = cloud.thetas[:n_theta], cloud.points[:n_theta]
+            lam_max = support_spectra(op, thetas)[:, -1]
+            support = (np.exp(1j * thetas) * points).real
+            assert np.abs(support - lam_max).max() <= 1e-12 * op.seminorm
+
+    @pytest.mark.parametrize("n_theta, solved", [(1, 1), (2, 1), (3, 3), (37, 37), (90, 45), (360, 180)])
+    def test_one_eigensolve_per_antipodal_pair(self, monkeypatch, n_theta, solved):
+        op = make_op(*gen_instance(InstanceSpec(dim=6, rank_a=4, construction="random", seed=2)))
+        counted = count_mats(monkeypatch, "eigh")
+        range_cloud(op, n_theta, seed=0)
+        assert counted[0] == solved
+
+    @pytest.mark.parametrize("construction", ADJOINTABLE)
+    @pytest.mark.parametrize("n_theta", [1, 2, 3, 37, 90, 360])
+    def test_matches_one_solve_per_direction(self, construction, n_theta):
+        # thetas and interior points bit for bit; boundary points to rounding
+        # wherever the top eigenvalue is simple (there the support point is
+        # unique).
+        for dim, rank_a in ((2, 2), (5, 3), (8, 8)):
+            op = make_op(*gen_instance(InstanceSpec(dim=dim, rank_a=rank_a, construction=construction, seed=dim)))
+            cloud = range_cloud(op, n_theta, seed=3)
+            thetas, boundary, interior = cloud_reference(op, n_theta, seed=3)
+            assert np.array_equal(cloud.thetas[:n_theta], thetas)
+            assert np.isnan(cloud.thetas[n_theta:]).all()
+            assert np.array_equal(cloud.points[n_theta:], interior)
+            spectra = support_spectra(op, thetas)
+            simple = spectra[:, -1] - spectra[:, -2] > 1e-3 * op.seminorm
+            moved = np.abs(cloud.points[:n_theta] - boundary)[simple]
+            assert moved.max(initial=0.0) <= 1e-13 * op.seminorm
 
 
 class TestDiskTest:
