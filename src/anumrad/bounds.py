@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, TolerancePolicy
+from .linalg import DimensionMismatchError, TolerancePolicy, as_count
 from .radius import DiskTestResult, RadiusEstimate, _disk_verdict, phase_profile, radius_theta_scan
 from .space import AOperator, PsdContext
 
@@ -136,12 +136,13 @@ def _equality_diag(op, rad, vals, case_id, target):
 
 
 def equality_diagnostics(
-    op: AOperator, rad: RadiusEstimate, grid_n: int = 360
+    op: AOperator, rad: RadiusEstimate, grid_n: int = 180
 ) -> tuple[EqualityDiagnostic, EqualityDiagnostic]:
     """Diagnose w_A(T) = ||T||_A / 2 and w_A(T) = sqrt(||T#A T + T T#A||_A / 4):
     each forces the Re and Im profiles to sit at its target for every theta and
     W_A(T) to be the origin disk of that radius. On an even grid the Im profile
     is the Re profile rolled by grid_n/2, so one profile serves all checks."""
+    grid_n = as_count(grid_n, "grid_n")
     if grid_n < 8 or grid_n % 2:
         raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")
     vals = phase_profile(op, np.arange(grid_n) * (math.pi / grid_n))
@@ -151,12 +152,12 @@ def equality_diagnostics(
     )
 
 
-def equality_half_norm(op: AOperator, rad: RadiusEstimate, grid_n: int = 360) -> EqualityDiagnostic:
+def equality_half_norm(op: AOperator, rad: RadiusEstimate, grid_n: int = 180) -> EqualityDiagnostic:
     """The w_A(T) = ||T||_A / 2 element of ``equality_diagnostics``."""
     return equality_diagnostics(op, rad, grid_n)[0]
 
 
-def equality_quarter_form(op: AOperator, rad: RadiusEstimate, grid_n: int = 360) -> EqualityDiagnostic:
+def equality_quarter_form(op: AOperator, rad: RadiusEstimate, grid_n: int = 180) -> EqualityDiagnostic:
     """The w_A(T) = sqrt(||T#A T + T T#A||_A / 4) element of ``equality_diagnostics``."""
     return equality_diagnostics(op, rad, grid_n)[1]
 
@@ -226,15 +227,13 @@ def commutator_compare(
     op_t: AOperator,
     op_s: AOperator,
     rad_t: RadiusEstimate | None = None,
-    rad_s: RadiusEstimate | None = None,
     grid_n: int = 720,
 ) -> CommutatorComparison:
     """Refined bounds 2 sqrt2 min(alpha1, alpha2) and 2 sqrt2 min(beta1, beta2)
     for w_A(TS +- ST), next to 2 sqrt2 min(||T|| w_A(S), ||S|| w_A(T))."""
     _require_same_context(op_t, op_s)
     rad_t = rad_t if rad_t is not None else radius_theta_scan(op_t, grid_n, refine=False)
-    rad_s = rad_s if rad_s is not None else radius_theta_scan(op_s, grid_n, refine=False)
-    wt, ws = rad_t.upper, rad_s.upper
+    wt, ws = rad_t.upper, radius_theta_scan(op_s, grid_n, refine=False).upper
     nt, ns = op_t.seminorm, op_s.seminorm
     red_t, red_s = _reduced_radii(op_t, wt), _reduced_radii(op_s, ws)
     alpha1, beta1 = ns * red_t[0], ns * red_t[1]

@@ -26,7 +26,7 @@ from .bounds import (
     commutator_th5,
     equality_diagnostics,
 )
-from .linalg import TolerancePolicy
+from .linalg import TolerancePolicy, as_count
 from .radius import RadiusEstimate, radius_sampling, radius_theta_scan
 from .space import (
     AOperator,
@@ -36,9 +36,6 @@ from .space import (
     make_a_operator,
     psd_decompose,
 )
-
-# Angles of the one phase profile behind both equality diagnostics.
-_EQUALITY_GRID_N = 180
 
 # Dimensions an instance may have, inclusive.
 _DIM_MIN, _DIM_MAX = 2, 64
@@ -182,6 +179,9 @@ class SuiteConfig:
     tol: TolerancePolicy = field(default_factory=TolerancePolicy)
 
     def __post_init__(self):
+        for name, least in (("n_instances", 0), ("seed", 0), ("grid_n", 4), ("n_samples", 0)):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, least))
+        object.__setattr__(self, "dims", tuple(as_count(d, "each of dims") for d in self.dims))
         if not self.dims:
             raise ValueError("dims must not be empty")
         bad = [d for d in self.dims if not _DIM_MIN <= d <= _DIM_MAX]
@@ -189,18 +189,12 @@ class SuiteConfig:
             raise ValueError(f"dims must be in {_DIM_MIN}..{_DIM_MAX}, got {bad}")
         if not self.constructions:
             raise ValueError("constructions must not be empty")
-        if self.n_instances < 0:
-            raise ValueError(f"n_instances must be >= 0, got {self.n_instances}")
-        if self.grid_n < 4:
-            raise ValueError(f"grid_n must be >= 4, got {self.grid_n}")
-        if self.n_samples < 0:
-            raise ValueError(f"n_samples must be >= 0, got {self.n_samples}")
 
     def instance_specs(self) -> list[InstanceSpec]:
         rng = np.random.default_rng(self.seed)
         specs = []
         for i in range(self.n_instances):
-            dim = int(self.dims[i % len(self.dims)])
+            dim = self.dims[i % len(self.dims)]
             construction = self.constructions[i % len(self.constructions)]
             low = 2 if construction == "nilpotent_half" and dim >= 2 else 1
             high = dim - 1 if construction == "nonadjointable_probe" else dim
@@ -260,7 +254,7 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
     if not config.tol.at_most(sampled, rad.upper):
         ev.violations.append(f"[{index}] sampling oracle exceeds certified upper bound")
 
-    for diag in equality_diagnostics(op, rad, _EQUALITY_GRID_N):
+    for diag in equality_diagnostics(op, rad):
         ev.diagnostics.append(diag)
         if diag.equality_holds and not (diag.re_im_constant and diag.disk.is_disk):
             ev.violations.append(f"[{index}] equality {diag.case_id} without its necessity conditions")

@@ -2,13 +2,15 @@
 
 Everything downstream (seminorms, adjoints, radius scans) is built on the
 three operations here: a checked Hermitian eigendecomposition, the spectral
-norm, and validation helpers. :class:`TolerancePolicy` holds the tolerances:
-the largest eigenvalue of A sets only the rank cutoff, and every verdict
-compares two quantities relative to the larger of their magnitudes.
+norm, and validation helpers. :class:`TolerancePolicy` holds the tolerances of
+the verdicts, each comparing two quantities relative to the larger of their
+magnitudes; the rank cutoff of A is not a tolerance but a rounding bound
+worked out from A itself (``space.psd_decompose``).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,23 +36,21 @@ class DimensionMismatchError(LinAlgInputError):
 class TolerancePolicy:
     """Relative tolerances shared across the toolkit.
 
-    rank_rel_tol: eigenvalue cutoff, relative to the largest eigenvalue,
-        below which a spectral component counts as zero.
     check_rel_tol: tolerance for residual and inequality verdicts.
     equality_rel_tol: looser tolerance for declaring an inequality tight;
         equality cases pass through eigendecompositions twice.
 
     The one rule: a verdict compares x with y relative to max(|x|, |y|),
     through :meth:`at_most` or :meth:`close`, so it does not change when
-    T or A is rescaled.
+    T or A is rescaled. The rank of A has no setting here: its cutoff is
+    a rounding bound of the eigensolve, see ``space.psd_decompose``.
     """
 
-    rank_rel_tol: float = 1e-10
     check_rel_tol: float = 1e-8
     equality_rel_tol: float = 1e-6
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "check_rel_tol", "equality_rel_tol"):
+        for name in ("check_rel_tol", "equality_rel_tol"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
@@ -81,6 +81,21 @@ def as_square_matrix(m, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {arr.shape[0]}")
     return arr
+
+
+def as_count(value, name: str, least: int = 0) -> int:
+    """value as an int >= least: bools and non-integers raise TypeError,
+    smaller integers ValueError."""
+    if not isinstance(value, bool):
+        try:
+            count = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if count < least:
+                raise ValueError(f"{name} must be >= {least}, got {count}")
+            return count
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:

@@ -14,12 +14,11 @@ uniform grid or a tighter one.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinAlgInputError
+from .linalg import LinAlgInputError, as_count
 from .space import AOperator
 
 _BRACKET = np.array([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75])  # probe offsets, in steps
@@ -133,8 +132,7 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     pruning reads grid values only. refine=False is for callers that read
     only ``upper``, which does not depend on it.
     """
-    if grid_n < 4:
-        raise ValueError(f"grid_n must be >= 4, got {grid_n}")
+    grid_n = as_count(grid_n, "grid_n", 4)
     delta = math.pi / grid_n
     n_coarse = grid_n
     while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
@@ -179,16 +177,6 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     )
 
 
-def _count(value, name: str) -> int:
-    """value as an int; bools and non-integers raise TypeError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
 def _real_form(m: np.ndarray) -> np.ndarray:
     """The real matrix [[Re m, -Im m], [Im m, Re m]], which acts on stacked
     (Re x, Im x) as m acts on x."""
@@ -209,9 +197,7 @@ def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> fl
     never exceeds the true radius beyond rounding. Returns 0 for
     rank(A) = 0.
     """
-    n_samples = _count(n_samples, "n_samples")
-    if n_samples < 0:
-        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    n_samples = as_count(n_samples, "n_samples")
     ctx = op.ctx
     if ctx.rank == 0:
         return 0.0
@@ -251,9 +237,7 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     for odd. Random unit vectors in range(A) supply interior points (theta
     recorded as nan).
     """
-    n_theta = _count(n_theta, "n_theta")
-    if n_theta < 1:
-        raise ValueError(f"n_theta must be >= 1, got {n_theta}")
+    n_theta = as_count(n_theta, "n_theta", 1)
     ctx = op.ctx
     if ctx.rank == 0:
         raise DegenerateRankError("W_A(T) is empty when A = 0")
@@ -279,8 +263,7 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
 
 def disk_test(op: AOperator, n_theta: int = 360) -> DiskTestResult:
     """Constant-support-function test for W_A(T) being an origin disk."""
-    if n_theta < 8:
-        raise ValueError(f"n_theta must be >= 8, got {n_theta}")
+    n_theta = as_count(n_theta, "n_theta", 8)
     return _disk_verdict(op, phase_profile(op, np.arange(n_theta) * (math.pi / n_theta)))
 
 

@@ -197,6 +197,16 @@ class TestEqualityDiagnostics:
         with pytest.raises(ValueError):
             equality_diagnostics(op, rad, grid_n)
 
+    @pytest.mark.parametrize("grid_n", [180.0, 181.5, True, "180"])
+    def test_rejects_non_integer_grid(self, grid_n):
+        op, rad = prepared(np.eye(2), JORDAN)
+        with pytest.raises(TypeError, match="grid_n must be an integer"):
+            equality_diagnostics(op, rad, grid_n)
+
+    def test_default_grid_is_the_suite_grid(self):
+        op, rad = prepared(np.eye(2), np.diag([1.0 + 1.0j, 0.0]))
+        assert equality_diagnostics(op, rad) == equality_diagnostics(op, rad, 180)
+
     def test_serialized_keys(self):
         op, rad = prepared(np.eye(2), JORDAN)
         out = to_dict(equality_half_norm(op, rad))

@@ -137,6 +137,35 @@ class TestSuite:
         with pytest.raises(ValueError):
             SuiteConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_instances": 2.0},
+            {"seed": 1.5},
+            {"grid_n": 720.0},
+            {"n_samples": 0.5},
+            {"dims": (3.0,)},
+            {"dims": (2, 3.5)},
+            {"n_instances": True},
+        ],
+    )
+    def test_config_rejects_non_integer_counts(self, kwargs):
+        with pytest.raises(TypeError, match="must be an integer"):
+            SuiteConfig(**kwargs)
+
+    def test_config_stores_numpy_integers_as_int(self):
+        config = SuiteConfig(
+            n_instances=np.int64(2),
+            dims=(np.int32(3),),
+            seed=np.uint8(5),
+            grid_n=np.int64(64),
+            n_samples=np.int16(10),
+        )
+        values = (config.n_instances, *config.dims, config.seed, config.grid_n, config.n_samples)
+        assert values == (2, 3, 5, 64, 10)
+        assert all(type(v) is int for v in values)
+        assert run_suite(config).ok
+
     def test_config_allows_zero_instances(self):
         assert SuiteConfig(n_instances=0).instance_specs() == []
         assert run_suite(SuiteConfig(n_instances=0)).evaluations == []

@@ -1,9 +1,15 @@
 """Metamorphic checks. Every inequality and equality case is homogeneous in T,
 unchanged when A is rescaled and unchanged under a unitary change of basis,
-so no verdict may move under T -> cT, A -> cA or (A, T) -> (U*AU, U*TU)."""
+so no verdict may move under T -> cT, A -> cA or (A, T) -> (U*AU, U*TU).
+The exact oracles at the end hold w_A(T) itself fixed: diagonal congruence,
+permutation similarity, entrywise conjugation, direct sums and rotation."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anumrad import (
     InstanceSpec,
@@ -22,6 +28,7 @@ from anumrad import (
     make_a_operator,
     psd_decompose,
     radius_theta_scan,
+    spectral_norm,
 )
 
 
@@ -118,3 +125,134 @@ def test_unitary_similarity(construction, n, rank):
     assert abs(rad_u.lower - rad.lower) <= 1e-12 * rad.upper
     assert abs(rad_u.upper - rad.upper) <= 1e-12 * rad.upper
     assert holds_u == holds
+
+
+EXACT = settings(derandomize=True, deadline=None, max_examples=40)
+ADJOINTABLE = ("random", "nilpotent_half", "shared_eigenbasis_selfadjoint")
+
+
+@st.composite
+def instances(draw, max_dim=6):
+    """(A, T) from an adjointable construction at full or deficient rank."""
+    construction = draw(st.sampled_from(ADJOINTABLE))
+    n = draw(st.integers(2, max_dim))
+    rank = n if draw(st.booleans()) else max(1, n // 2)
+    seed = draw(st.integers(0, 2**16))
+    return gen_instance(InstanceSpec(dim=n, rank_a=rank, construction=construction, seed=seed))
+
+
+def _enclosure(a, t):
+    ctx = psd_decompose(a)
+    return ctx.rank, radius_theta_scan(make_a_operator(ctx, t))
+
+
+def _assert_same(base, other, t, rel=1e-12):
+    """Same rank, and the same enclosure to rel relative to w_A(T), or to
+    32 n eps ||T|| when that is larger: forming C rounds at that level in T's
+    units, and that is all that is left when w_A(T) = 0 exactly."""
+    (rank, rad), (rank_o, rad_o) = base, other
+    atol = max(rel * rad.upper, 32 * t.shape[0] * np.finfo(float).eps * spectral_norm(t))
+    assert rank_o == rank
+    assert abs(rad_o.lower - rad.lower) <= atol
+    assert abs(rad_o.upper - rad.upper) <= atol
+
+
+def _intersects(rad, lower, upper):
+    return rad.lower <= upper and lower <= rad.upper
+
+
+def _congruence(a, t, exponents):
+    """A' = DAD and T' = D^-1 T D for D = diag(2^-e): exact in floating point,
+    with w_{A'}(T') = w_A(T)."""
+    d = 2.0 ** -np.asarray(exponents, dtype=float)
+    return a * d[:, None] * d[None, :], t * d[None, :] / d[:, None]
+
+
+def _graded(a, t, exponents):
+    """The (rank, enclosure) pairs of (A, T) and of its ``_congruence``, for
+    exponents whose smallest kept eigenvalue of A' stays >= 10^3 eps_A
+    (eps_A = 32 n eps lambda_max, the rank cutoff), so that rank(A') is not
+    in question."""
+    base = _enclosure(a, t)
+    a2, t2 = _congruence(a, t, exponents)
+    n = a.shape[0]
+    w = np.linalg.eigvalsh(a2)
+    assume(w[n - base[0]] >= 1e3 * 32 * n * np.finfo(float).eps * w[-1])
+    return base, _enclosure(a2, t2)
+
+
+def test_graded_congruence_keeps_the_smallest_eigenvalue():
+    # D = diag(2^0, 2^-7, 2^-13, 2^-20): lambda_min / lambda_max(A') = 2.3e-12.
+    # A cutoff of 1e-10 lambda_max dropped it, kept rank 3 and returned
+    # [3.2839392, 3.2839410], 6.5% below w_A(T) in [3.5124152, 3.5124194].
+    a, t = gen_instance(InstanceSpec(dim=4, rank_a=4, seed=0))
+    base, graded = _enclosure(a, t), _enclosure(*_congruence(a, t, (0, 7, 13, 20)))
+    assert graded[0] == 4
+    _assert_same(base, graded, t)
+
+
+exponent_lists = st.lists(st.integers(0, 20), min_size=8, max_size=8)
+
+
+@EXACT
+@given(instances(), exponent_lists)
+def test_graded_downward_congruence_is_exact(instance, exponents):
+    # A' graded from large to small down the diagonal
+    a, t = instance
+    _assert_same(*_graded(a, t, sorted(exponents)[: a.shape[0]]), t)
+
+
+@EXACT
+@given(instances(), exponent_lists)
+def test_congruence_in_any_order_keeps_rank_and_enclosure(instance, exponents):
+    # In any other order the rank holds, but eigh loses relative accuracy in
+    # the small eigenpairs (up to 1.9e-7 relative on w at n <= 6), so only
+    # the certified intervals must agree.
+    a, t = instance
+    (rank, rad), (rank_g, rad_g) = _graded(a, t, exponents[: a.shape[0]])
+    assert rank_g == rank
+    assert _intersects(rad_g, rad.lower, rad.upper)
+
+
+@EXACT
+@given(instances(), st.data())
+def test_permutation_similarity(instance, data):
+    a, t = instance
+    p = np.array(data.draw(st.permutations(range(a.shape[0]))))
+    _assert_same(_enclosure(a, t), _enclosure(a[p][:, p], t[p][:, p]), t)
+
+
+@EXACT
+@given(instances())
+def test_entrywise_conjugation(instance):
+    # W_{conj A}(conj T) is the mirror image of W_A(T)
+    a, t = instance
+    _assert_same(_enclosure(a, t), _enclosure(a.conj(), t.conj()), t)
+
+
+def _direct_sum(x, y):
+    out = np.zeros((x.shape[0] + y.shape[0],) * 2, dtype=complex)
+    out[: x.shape[0], : x.shape[0]] = x
+    out[x.shape[0] :, x.shape[0] :] = y
+    return out
+
+
+@EXACT
+@given(instances(max_dim=4), instances(max_dim=4))
+def test_direct_sum_takes_the_larger_radius(first, second):
+    # W_{A+B}(T+S) is the convex hull of W_A(T) and W_B(S)
+    (a, t), (b, s) = first, second
+    rad_t, rad_s = _enclosure(a, t)[1], _enclosure(b, s)[1]
+    _, rad = _enclosure(_direct_sum(a, b), _direct_sum(t, s))
+    assert _intersects(rad, max(rad_t.lower, rad_s.lower), max(rad_t.upper, rad_s.upper))
+
+
+@EXACT
+@given(instances())
+def test_rotation_by_half_a_grid_step(instance):
+    # e^{i phi} T rotates W_A(T); phi = pi / 1440 moves every grid angle of
+    # the 720-angle scan to a cell midpoint
+    a, t = instance
+    rad = _enclosure(a, t)[1]
+    rotated = _enclosure(a, t * np.exp(1j * math.pi / 1440))[1]
+    assert _intersects(rotated, rad.lower, rad.upper)

@@ -28,14 +28,14 @@ def random_psd(rng, n, rank):
 class TestTolerancePolicy:
     def test_defaults(self):
         tol = TolerancePolicy()
-        assert tol.rank_rel_tol == 1e-10
         assert tol.check_rel_tol == 1e-8
         assert tol.equality_rel_tol == 1e-6
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -1e-3, 2.0])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            TolerancePolicy(rank_rel_tol=bad)
+        for name in ("check_rel_tol", "equality_rel_tol"):
+            with pytest.raises(ValueError):
+                TolerancePolicy(**{name: bad})
 
     @pytest.mark.parametrize("c", [1.0, 2.0**-500, 2.0**500])
     def test_rules_are_relative_to_the_larger_magnitude(self, c):
@@ -143,6 +143,39 @@ class TestPsdDecompose:
         assert ctx.rank == 1
         assert ctx.lam_max == 1.0
         assert (ctx.root > 0).all()
+
+    @staticmethod
+    def _graded(n, last):
+        """diag(3, 1, ..., 1, last * eps_A) with eps_A = 32 n eps lambda_max."""
+        lam = np.ones(n)
+        lam[0] = 3.0
+        lam[-1] = last * 32 * n * np.finfo(float).eps * 3.0
+        return np.diag(lam)
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_clamps_negative_eigenvalue_at_half_the_rounding_bound(self, n):
+        ctx = psd_decompose(self._graded(n, -0.5))
+        assert ctx.rank == n - 1
+        assert ctx.lam_max == 3.0
+        assert (ctx.root > 0).all()
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_rejects_negative_eigenvalue_at_twice_the_rounding_bound(self, n):
+        with pytest.raises(NotPsdError):
+            psd_decompose(self._graded(n, -2.0))
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    def test_keeps_positive_eigenvalue_at_twice_the_rounding_bound(self, n):
+        assert psd_decompose(self._graded(n, 2.0)).rank == n
+        assert psd_decompose(self._graded(n, 0.5)).rank == n - 1
+
+    def test_keeps_eigenvalues_above_the_rounding_bound(self):
+        # lambda_min / lambda_max = 1e-12 was dropped by a cutoff of 1e-10 lambda_max
+        ctx = psd_decompose(np.diag([1.0, 1e-12]))
+        assert ctx.rank == 2
+        assert ctx.root[0] ** 2 == 1e-12
+        with pytest.raises(NotPsdError):
+            psd_decompose(np.diag([1.0, -1e-12]))
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_penrose_identities(self, n):

@@ -205,6 +205,18 @@ class TestThetaScan:
         with pytest.raises(ValueError):
             radius_theta_scan(make_op(np.eye(2), JORDAN), grid_n=3)
 
+    @pytest.mark.parametrize("grid_n", [720.0, 180.5, True, "720", None])
+    def test_rejects_non_integer_grid_before_solving(self, monkeypatch, grid_n):
+        op = make_op(np.eye(2), JORDAN)
+        counted = count_mats(monkeypatch, "eigvalsh")
+        with pytest.raises(TypeError, match="grid_n must be an integer"):
+            radius_theta_scan(op, grid_n)
+        assert counted[0] == 0
+
+    def test_accepts_numpy_integer_grid(self):
+        op = make_op(np.diag([2.0, 1.0]), JORDAN)
+        assert radius_theta_scan(op, np.int64(64)) == radius_theta_scan(op, 64)
+
 
 @pytest.mark.parametrize("grid_n", [8, 64, 181, 720])
 def test_refinement_adds_at_most_seven_calls_over_42_angles(monkeypatch, grid_n):
@@ -480,3 +492,12 @@ class TestDiskTest:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             disk_test(make_op(np.eye(2), JORDAN), n_theta=4)
+
+    @pytest.mark.parametrize("n_theta", [100.5, 360.0, True, "360"])
+    def test_rejects_non_integer_grid_before_solving(self, monkeypatch, n_theta):
+        # 100.5 used to evaluate 101 angles spaced pi / 100.5
+        op = make_op(np.eye(2), JORDAN)
+        counted = count_mats(monkeypatch, "eigvalsh")
+        with pytest.raises(TypeError, match="n_theta must be an integer"):
+            disk_test(op, n_theta)
+        assert counted[0] == 0
