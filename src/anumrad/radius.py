@@ -186,35 +186,34 @@ def _real_form(m: np.ndarray) -> np.ndarray:
 def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> float:
     """Monte-Carlo lower oracle: max |<Tx,x>_A| over random unit-A-norm x.
 
-    Draws complex Gaussians z in C^n and takes x = (A^{1/2})+ z, uniformly
-    distributed on the unit A-sphere of range(A) after normalizing. In
-    range(A) coordinates u = Q* z this reads <Ax,x> = |u|^2 and
-    <ATx,x> = u* C u with C = ``op.compressed``. The arithmetic is real:
-    each chunk of draws is one (2n, m) array whose first n rows are Re z and
-    last n rows Im z (the same draws as two (n, m) calls), and Q* and C act
-    through their real forms, so u and Cu come as stacked real and imaginary
-    parts. Near-null draws are rejected. Deterministic for a fixed seed;
-    never exceeds the true radius beyond rounding. Returns 0 for
-    rank(A) = 0.
+    Draws u ~ CN(0, I_r) in range(A) coordinates and takes
+    x = Q diag(1/root) u, so <Ax,x> = |u|^2 and <ATx,x> = u* C u with
+    C = ``op.compressed``. These x have the law of (A^{1/2})+ z for
+    z ~ CN(0, I_n), since Q* z ~ CN(0, I_r) when Q*Q = I_r, but no draw or
+    product has n rows: the cost follows rank(A). The arithmetic is real:
+    each chunk of draws is one (2r, m) array whose first r rows are Re u and
+    last r rows Im u (the same draws as two (r, m) calls), and C acts through
+    its real form, so Cu comes as stacked real and imaginary parts.
+    Deterministic for a fixed integer seed; the stream differs from that of
+    earlier versions, which drew z in C^n. Never exceeds the true radius
+    beyond rounding. Returns 0 for rank(A) = 0.
     """
     n_samples = as_count(n_samples, "n_samples")
-    ctx = op.ctx
-    if ctx.rank == 0:
+    seed = as_count(seed, "seed")
+    r = op.ctx.rank
+    if r == 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    r = ctx.rank
-    q_real = _real_form(ctx.range_basis.conj().T)
     c_real = _real_form(op.compressed)
     best = 0.0
     remaining = n_samples
     while remaining > 0:
         m = min(remaining, 50_000)
         remaining -= m
-        xy = rng.standard_normal((2 * ctx.dim, m))
-        u = q_real @ xy
+        u = rng.standard_normal((2 * r, m))
         w = c_real @ u
         nsq = np.einsum("ij,ij->j", u, u)
-        ok = nsq >= 1e-16 * np.einsum("ij,ij->j", xy, xy)
+        ok = nsq > 0.0
         if not ok.any():
             continue
         # u* (Cu) with u = a + ib and Cu = p + iq: (a.p + b.q) + i (a.q - b.p).
@@ -238,6 +237,7 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     recorded as nan).
     """
     n_theta = as_count(n_theta, "n_theta", 1)
+    seed = as_count(seed, "seed")
     ctx = op.ctx
     if ctx.rank == 0:
         raise DegenerateRankError("W_A(T) is empty when A = 0")

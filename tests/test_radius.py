@@ -19,6 +19,7 @@ from anumrad import radius
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 ADJOINTABLE = ("random", "nilpotent_half", "shared_eigenbasis_selfadjoint")
+BAD_SEEDS = [(None, TypeError), (True, TypeError), (1.5, TypeError), ("3", TypeError), (-1, ValueError)]
 
 
 def make_op(a, t):
@@ -58,22 +59,20 @@ def uniform_reference(op, grid_n):
 
 
 def complex_sampling_reference(op, n_samples, seed):
-    """The sampling oracle in complex arithmetic: z = x + iy from two (n, m)
-    draws per chunk, u = Q* z and |u* C u| / |u|^2 over the accepted draws."""
-    ctx = op.ctx
-    if ctx.rank == 0:
+    """The sampling oracle in complex arithmetic: u = x + iy in C^r from two
+    (r, m) draws per chunk and |u* C u| / |u|^2 over the nonzero draws."""
+    r = op.ctx.rank
+    if r == 0:
         return 0.0
     rng = np.random.default_rng(seed)
-    qh = ctx.range_basis.conj().T
     best = 0.0
     remaining = int(n_samples)
     while remaining > 0:
         m = min(remaining, 50_000)
         remaining -= m
-        z = rng.standard_normal((ctx.dim, m)) + 1j * rng.standard_normal((ctx.dim, m))
-        u = qh @ z
+        u = rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m))
         nsq = np.einsum("ij,ij->j", u.conj(), u).real
-        ok = nsq >= 1e-16 * np.einsum("ij,ij->j", z.conj(), z).real
+        ok = nsq > 0.0
         if not ok.any():
             continue
         vals = np.abs(np.einsum("ij,ij->j", u.conj(), op.compressed @ u))
@@ -372,6 +371,36 @@ class TestSampling:
         op = make_op(np.diag([2.0, 1.0]), JORDAN)
         assert radius_sampling(op, np.int64(500), seed=2) == radius_sampling(op, 500, seed=2)
 
+    @pytest.mark.parametrize("rank_a", [0, 2])
+    @pytest.mark.parametrize("seed, error", BAD_SEEDS)
+    def test_rejects_bad_seed(self, rank_a, seed, error):
+        # Checked before the rank-0 return: a bad seed never passes silently.
+        op = make_op(np.diag([2.0, 1.0][:rank_a] + [0.0] * (2 - rank_a)), JORDAN)
+        with pytest.raises(error):
+            radius_sampling(op, 100, seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        op = make_op(np.diag([2.0, 1.0]), JORDAN)
+        assert radius_sampling(op, 500, seed=np.int64(2)) == radius_sampling(op, 500, seed=2)
+
+    def test_draws_only_in_range_coordinates(self):
+        # Padding A and T with a zero block leaves rank(A) and C unchanged,
+        # so an oracle whose draws have r rows, not n, returns the same bits.
+        # Distinct diagonal entries keep eigh's kept basis in the same order.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            d = rng.uniform(0.5, 3.0, n)
+            assert np.unique(d).size == n
+            t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            pad_a = np.zeros((n + k, n + k))
+            pad_a[:n, :n] = np.diag(d)
+            pad_t = np.zeros((n + k, n + k), dtype=complex)
+            pad_t[:n, :n] = t
+            plain = radius_sampling(make_op(np.diag(d), t), 3000, seed=seed)
+            padded = radius_sampling(make_op(pad_a, pad_t), 3000, seed=seed)
+            assert padded == plain
+
 
 @pytest.mark.parametrize("construction", ADJOINTABLE)
 def test_sampling_matches_complex_reference(construction):
@@ -433,6 +462,19 @@ class TestRangeCloud:
         with pytest.raises(TypeError):
             range_cloud(op, n_theta)
         assert counted[0] == 0
+
+    @pytest.mark.parametrize("seed, error", BAD_SEEDS)
+    def test_rejects_bad_seed_before_solving(self, monkeypatch, seed, error):
+        op = make_op(np.eye(2), JORDAN)
+        counted = count_mats(monkeypatch, "eigh")
+        with pytest.raises(error):
+            range_cloud(op, 8, seed)
+        assert counted[0] == 0
+
+    def test_accepts_numpy_integer_seed(self):
+        op = make_op(np.diag([2.0, 1.0]), JORDAN)
+        a, b = range_cloud(op, 8, seed=np.int64(2)), range_cloud(op, 8, seed=2)
+        assert np.array_equal(a.points, b.points)
 
     @pytest.mark.parametrize("construction", ADJOINTABLE)
     @pytest.mark.parametrize("n_theta", [1, 2, 3, 37, 90, 360])
