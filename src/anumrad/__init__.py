@@ -40,6 +40,7 @@ from .linalg import (
     LinAlgInputError,
     NotHermitianError,
     NotPsdError,
+    ScaleRangeError,
     TolerancePolicy,
     hermitian_eig,
     spectral_norm,

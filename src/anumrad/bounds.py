@@ -129,26 +129,23 @@ def bound_th4(op: AOperator, rad: RadiusEstimate) -> BoundReport:
     return _report("th4", rad.lower, rhs, op.ctx.tol, "lower")
 
 
-def _equality_diag(op, rad, vals, case_id, target):
-    close = op.ctx.tol.close
-    holds, constant = bool(close(rad.lower, target)), bool(close(vals, target).all())
-    return EqualityDiagnostic(case_id, holds, constant, _disk_verdict(op, vals), target)
-
-
 def equality_diagnostics(
     op: AOperator, rad: RadiusEstimate, grid_n: int = 180
 ) -> tuple[EqualityDiagnostic, EqualityDiagnostic]:
     """Diagnose w_A(T) = ||T||_A / 2 and w_A(T) = sqrt(||T#A T + T T#A||_A / 4):
     each forces the Re and Im profiles to sit at its target for every theta and
     W_A(T) to be the origin disk of that radius. On an even grid the Im profile
-    is the Re profile rolled by grid_n/2, so one profile serves all checks."""
+    is the Re profile rolled by grid_n/2, so one profile and one disk verdict
+    serve all checks."""
     grid_n = as_count(grid_n, "grid_n")
     if grid_n < 8 or grid_n % 2:
         raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")
     vals = phase_profile(op, np.arange(grid_n) * (math.pi / grid_n))
-    return (
-        _equality_diag(op, rad, vals, "half_norm", op.seminorm / 2.0),
-        _equality_diag(op, rad, vals, "quarter_form", math.sqrt(op.form_norm / 4.0)),
+    disk, close = _disk_verdict(op, vals), op.ctx.tol.close
+    targets = (("half_norm", op.seminorm / 2.0), ("quarter_form", math.sqrt(op.form_norm / 4.0)))
+    return tuple(
+        EqualityDiagnostic(case_id, bool(close(rad.lower, k)), bool(close(vals, k).all()), disk, k)
+        for case_id, k in targets
     )
 
 

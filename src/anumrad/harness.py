@@ -63,6 +63,10 @@ class InstanceSpec:
     scale: float = 1.0
 
     def __post_init__(self):
+        for name in ("dim", "rank_a", "seed"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name))
+        if isinstance(self.scale, bool):
+            raise TypeError(f"scale must be a number, got {self.scale!r}")
         if not _DIM_MIN <= self.dim <= _DIM_MAX:
             raise ValueError(f"dim must be in {_DIM_MIN}..{_DIM_MAX}, got {self.dim}")
         if not 0 <= self.rank_a <= self.dim:

@@ -32,6 +32,23 @@ class DimensionMismatchError(LinAlgInputError):
     """Raised when operand dimensions are incompatible."""
 
 
+class ScaleRangeError(LinAlgInputError):
+    """Raised when lambda_max(A) or the compression of T has a nonzero scale
+    outside [SCALE_MIN, SCALE_MAX], where the certificate's arithmetic could
+    overflow or underflow."""
+
+
+# Nonzero scales the certificate carries. With lambda_max(A) in this range
+# every kept eigenvalue of A (above 32 n eps lambda_max) is a normal float;
+# A's scale cancels in T's compression C but not in A's own eigensolve. C
+# with max|C| >= SCALE_MIN and rank(A) max|C| <= SCALE_MAX has SCALE_MIN <=
+# ||C|| <= SCALE_MAX, so w_A(T)^2, ||D||_A and the squared Cartesian-part
+# norms stay below 2^1002, w_A(T)^2 and ||D||_A above 2^-1004, and the
+# scan's guard grid_max / (1000 grid_n^2) above 2^-512 / grid_n^2: normal
+# floats for every grid_n below 2^255.
+SCALE_MIN, SCALE_MAX = 2.0**-500, 2.0**500
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Relative tolerances shared across the toolkit.
@@ -135,9 +152,11 @@ def hermitian_eig(m, asym_rel_tol: float = 1e-8) -> HermEig:
     return HermEig(eigenvalues=w, eigenvectors=u)
 
 
+def sigma_max(c: np.ndarray) -> float:
+    """Largest singular value of an unchecked matrix; 0 when it has no entries."""
+    return float(np.linalg.svd(c, compute_uv=False).max(initial=0.0))
+
+
 def spectral_norm(m) -> float:
     """Largest singular value of ``m``; 0 for the zero matrix."""
-    arr = as_matrix(m)
-    if not arr.any():
-        return 0.0
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
+    return sigma_max(as_matrix(m))

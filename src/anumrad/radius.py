@@ -1,14 +1,16 @@
 """A-numerical radius with certified enclosures.
 
-w_A(T) equals the supremum over theta of f(theta) = ||Re_A(e^{i theta}T)||_A,
-a periodic support-type function that is the upper envelope of rectified
-cosinusoids |r cos(theta + phi)|, one per point of the A-numerical range.
-A uniform grid therefore under-reads the supremum by at most the factor
-cos(half grid spacing), which turns the scan into a certified enclosure.
-The same cosine argument bounds f on each grid cell from its two endpoint
-values, so the scan runs on nested grids and refines only the cells whose
-bound still exceeds the largest value seen, with the enclosure of the full
-uniform grid or a tighter one.
+w_A(T) equals the supremum over theta of f(theta) = ||Re_A(e^{i theta}T)||_A.
+In range(A) coordinates f is the support function of conv(W u -W), where
+W = W_A(T) is the numerical range of T's compression, so that set lies
+inside the wedge cut by its support lines at the two ends of any grid cell,
+and f is at most the distance of their meeting vertex on the cell: the
+outer polygon of C. R. Johnson (SIAM J. Numer. Anal. 15, 1978). A cell of
+width d whose end values are at most M therefore holds f <= M / cos(d / 2),
+which turns the scan into a certified enclosure. The scan runs on nested
+grids and refines only the cells whose vertex bound still exceeds the
+largest value seen, with the enclosure of the full uniform grid or a
+tighter one.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class RadiusEstimate:
     finest spacing pi / grid_n that the nested, pruned scan reaches: lower
     comes from the maximum of f over that uniform grid, raised by a bracket
     search around its argmax, and upper from the larger of that maximum and
-    the bounds of the finest surviving cells, never above the uniform grid's
-    certificate, which keeps upper <= lower / cos(pi / (2 grid_n)).
+    the support-line vertices of the finest surviving cells, never above the
+    uniform grid's certificate, which keeps upper <= lower / cos(pi / (2 grid_n)).
     """
 
     lower: float
@@ -90,20 +92,15 @@ def _cell_bounds(fa: np.ndarray, fb: np.ndarray, width: float) -> np.ndarray:
     """Upper bound on f over each cell [t, t + width] from its endpoint
     values fa = f(t) and fb = f(t + width); valid for any width below pi/2.
 
-    On a cell, sup f is an endpoint value or the peak r of one rectified
-    cosinusoid inside it, and then both endpoint values dominate
-    r cos(distance to the peak). Maximizing the weaker of the two bounds
-    over the peak position bounds r; the bound is exact when f is locally a
-    single cosinusoid.
+    f is the support function of conv(W u -W), so over the cell f is at most
+    the distance to the vertex (fa, x) where the support lines at t and
+    t + width meet, in the frame of the first normal (Johnson, 1978); if the
+    vertex lies outside the cell's cone, max(fa, fb) bounds f instead.
     """
-    cos_d, sin_d = math.cos(width), math.sin(width)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tan_a = (fb - fa * cos_d) / (fa * sin_d)
-        a = np.arctan(tan_a)
-        crossing = fa / np.cos(a)
-    interior = (fa > 0.0) & (a >= 0.0) & (a <= width)
-    cell = np.where(interior, crossing, np.maximum(fa, fb))
-    return np.maximum(cell, np.maximum(fa, fb))
+    cos_w = math.cos(width)
+    x = (fb - fa * cos_w) / math.sin(width)
+    inside = (x >= 0.0) & (fa >= fb * cos_w)
+    return np.where(inside, np.hypot(fa, x), np.maximum(fa, fb))
 
 
 def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> RadiusEstimate:
@@ -114,11 +111,13 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     coarsest grid of grid_n/2^j points that is still >= 32 (j = 0 when
     grid_n is odd or below 64) and halves the spacing per level down to
     pi/grid_n, the finest spacing. Each level bounds f on every live cell
-    with ``_cell_bounds``, drops the cells whose bound is <= the largest
-    grid value so far, and evaluates the midpoints of the rest in one
-    batch; it stops at the finest level or when no cell is left.
+    by the vertex where the support lines at its two ends meet
+    (``_cell_bounds``), drops the cells whose bound is <= the largest grid
+    value so far, and evaluates the midpoints of the rest in one batch; it
+    stops at the finest level or when no cell is left.
 
-    Why this stays certified: a cell's bound caps f on that cell, so a
+    Why this stays certified: conv(W u -W) lies inside each cell's wedge of
+    support lines, so the vertex bound caps f on that cell and a
     dropped cell cannot beat the grid maximum. Hence the largest evaluated
     value is the maximum over the whole uniform grid, and sup f is at most
     the larger of it and the bounds of the surviving finest cells. Those
@@ -214,13 +213,11 @@ def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> fl
         w = c_real @ u
         nsq = np.einsum("ij,ij->j", u, u)
         ok = nsq > 0.0
-        if not ok.any():
-            continue
         # u* (Cu) with u = a + ib and Cu = p + iq: (a.p + b.q) + i (a.q - b.p).
         re = np.einsum("ij,ij->j", u, w)
         im = np.einsum("ij,ij->j", u[:r], w[r:]) - np.einsum("ij,ij->j", u[r:], w[:r])
         vals = np.hypot(re, im)
-        best = max(best, float((vals[ok] / nsq[ok]).max()))
+        best = max(best, float((vals[ok] / nsq[ok]).max(initial=0.0)))
     return best
 
 

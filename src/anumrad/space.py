@@ -14,12 +14,16 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    SCALE_MAX,
+    SCALE_MIN,
     LinAlgInputError,
     NotPsdError,
+    ScaleRangeError,
     TolerancePolicy,
     as_square_matrix,
     as_vector,
     hermitian_eig,
+    sigma_max,
 )
 
 
@@ -81,6 +85,8 @@ def psd_decompose(a_raw, tol: TolerancePolicy | None = None) -> PsdContext:
     eig = hermitian_eig(arr, asym_rel_tol=tol.check_rel_tol)
     w = eig.eigenvalues
     lam_max = float(max(w[-1], 0.0))
+    if lam_max != 0.0 and not SCALE_MIN <= lam_max <= SCALE_MAX:
+        raise ScaleRangeError(f"lambda_max(A) = {lam_max:.3e} lies outside [2^-500, 2^500]")
     cutoff = 32 * arr.shape[0] * np.finfo(float).eps * lam_max
     if w[0] < -cutoff:
         raise NotPsdError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
@@ -123,13 +129,8 @@ def is_adjointable(ctx: PsdContext, t) -> bool:
         return True
     q = ctx.range_basis
     taq = arr.conj().T @ (ctx.a @ q)
-    residual = _norm(taq - q @ (q.conj().T @ taq))
-    return residual <= ctx.tol.check_rel_tol * ctx.lam_max * _norm(arr)
-
-
-def _norm(c: np.ndarray) -> float:
-    """Largest singular value of a matrix; 0 when it has no entries."""
-    return float(np.linalg.svd(c, compute_uv=False).max(initial=0.0))
+    residual = sigma_max(taq - q @ (q.conj().T @ taq))
+    return residual <= ctx.tol.check_rel_tol * ctx.lam_max * sigma_max(arr)
 
 
 @dataclass(frozen=True)
@@ -169,47 +170,55 @@ class AOperator:
 
     @cached_property
     def seminorm(self) -> float:
-        return _norm(self.compressed)
+        return sigma_max(self.compressed)
 
     @cached_property
     def part_norms(self) -> tuple[float, float, float, float]:
         """||Re_A(T)||_A, ||Im_A(T)||_A, ||Re + Im||_A and ||Re - Im||_A, via
         the compressed Hermitian parts (exact images of the Cartesian parts)."""
         return (
-            _norm(self.h_re),
-            _norm(self.h_im),
-            _norm(self.h_re + self.h_im),
-            _norm(self.h_re - self.h_im),
+            sigma_max(self.h_re),
+            sigma_max(self.h_im),
+            sigma_max(self.h_re + self.h_im),
+            sigma_max(self.h_re - self.h_im),
         )
 
     @cached_property
     def form_norm(self) -> float:
         """||T#A T + T T#A||_A, computed as ||C*C + CC*|| in compressed form."""
         c = self.compressed
-        return _norm(c.conj().T @ c + c @ c.conj().T)
+        return sigma_max(c.conj().T @ c + c @ c.conj().T)
 
 
 def make_a_operator(ctx: PsdContext, t) -> AOperator:
     """Bind T to ctx, storing T and its compression.
 
     Raises NotAdjointableError when T violates the Douglas condition, so
-    every AOperator is adjointable.
+    every AOperator is adjointable, and ScaleRangeError when the compression
+    C is nonzero with max|C| < SCALE_MIN or rank(A) max|C| > SCALE_MAX.
     """
     arr = as_square_matrix(t, ctx.dim)
     if not is_adjointable(ctx, arr):
         raise NotAdjointableError("T admits no A-adjoint (R(T*A) not within R(A))")
-    return AOperator(ctx=ctx, t=arr, compressed=ctx.compress(arr))
+    c = ctx.compress(arr)
+    m = float(np.abs(c).max(initial=0.0))
+    if m != 0.0 and not (SCALE_MIN <= m and ctx.rank * m <= SCALE_MAX):
+        raise ScaleRangeError(
+            f"T's compression has max|C| = {m:.3e} at rank(A) = {ctx.rank}; certification needs "
+            "max|C| >= 2^-500 and rank(A) max|C| <= 2^500"
+        )
+    return AOperator(ctx=ctx, t=arr, compressed=c)
 
 
 def seminorm_mat(ctx: PsdContext, m) -> float:
     """A-seminorm of a raw matrix, without building a full AOperator."""
     arr = as_square_matrix(m, ctx.dim)
-    return _norm(ctx.compress(arr))
+    return sigma_max(ctx.compress(arr))
 
 
 def is_a_selfadjoint(ctx: PsdContext, t) -> bool:
     """True iff ||AT - T*A|| <= check_rel_tol * lambda_max * ||T||, the
     residual in the units of AT."""
     arr = as_square_matrix(t, ctx.dim)
-    residual = _norm(ctx.a @ arr - arr.conj().T @ ctx.a)
-    return residual <= ctx.tol.check_rel_tol * ctx.lam_max * _norm(arr)
+    residual = sigma_max(ctx.a @ arr - arr.conj().T @ ctx.a)
+    return residual <= ctx.tol.check_rel_tol * ctx.lam_max * sigma_max(arr)

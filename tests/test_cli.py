@@ -89,6 +89,14 @@ class TestRadius:
         save_instance(path, {"A": np.diag([1.0, 0.0]), "T": np.array([[1.0, 1.0], [0.0, 1.0]])})
         assert main(["radius", "--in", str(path)]) == EXIT_IO
 
+    @pytest.mark.parametrize("t", [1e308 * np.eye(2), 2.0**-1054 * JORDAN])
+    def test_scale_outside_the_certified_range_is_an_input_error(self, tmp_path, capsys, t):
+        # 1e308 I overflows the Cartesian parts, 2^-1054 J underflows the guard
+        path = tmp_path / "scaled.json"
+        save_instance(path, {"A": np.eye(2), "T": t})
+        assert main(["radius", "--in", str(path)]) == EXIT_IO
+        assert "max|C|" in capsys.readouterr().err
+
     def test_tiny_grid_is_usage_error(self, jordan_file):
         assert main(["radius", "--in", str(jordan_file), "--grid-n", "2"]) == EXIT_USAGE
         assert main(["radius", "--in", str(jordan_file), "--samples", "-5"]) == EXIT_USAGE
@@ -102,6 +110,14 @@ class TestBounds:
         ids = [r["formula_id"] for r in payload["reports"]]
         assert ids == ["eqv_lower", "eqv_upper", "eqv1_lower", "eqv1_upper", "th1", "th2", "th3", "th4"]
         assert all(r["holds"] for r in payload["reports"])
+
+    @pytest.mark.parametrize("k", [512, 520])
+    def test_scale_outside_the_certified_range_is_an_input_error(self, tmp_path, capsys, k):
+        # 2^512 J overflows ||D||_A, 2^520 J also rad.lower**2
+        path = tmp_path / "scaled.json"
+        save_instance(path, {"A": np.eye(2), "T": 2.0**k * JORDAN})
+        assert main(["bounds", "--in", str(path)]) == EXIT_IO
+        assert "max|C|" in capsys.readouterr().err
 
     def test_commutator_sections_when_partners_present(self, tmp_path):
         path = tmp_path / "full.json"

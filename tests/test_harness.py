@@ -45,6 +45,35 @@ class TestInstanceSpec:
         with pytest.raises(ValueError):
             InstanceSpec(**kwargs)
 
+    @pytest.mark.parametrize("bad", [True, False, 4.0, 2.5, None, "4"])
+    @pytest.mark.parametrize("name", ["dim", "rank_a", "seed"])
+    def test_rejects_non_integer_counts_before_drawing(self, monkeypatch, name, bad):
+        # a bool would act as 0 or 1, a float would fail only inside numpy
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before validating the spec")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            gen_instance(InstanceSpec(**{"dim": 4, "rank_a": 2, "seed": 0, name: bad}))
+
+    @pytest.mark.parametrize("bad", [True, None, "1.0"])
+    def test_rejects_non_numeric_scale(self, bad):
+        with pytest.raises(TypeError):
+            InstanceSpec(dim=4, rank_a=2, scale=bad)
+
+    @pytest.mark.parametrize("name", ["dim", "rank_a", "seed"])
+    def test_rejects_negative_counts(self, name):
+        with pytest.raises(ValueError, match=name):
+            InstanceSpec(**{"dim": 4, "rank_a": 2, "seed": 0, name: -1})
+
+    def test_stores_numpy_integers_as_int(self):
+        spec = InstanceSpec(dim=np.int64(4), rank_a=np.int32(2), seed=np.uint16(3))
+        assert (spec.dim, spec.rank_a, spec.seed) == (4, 2, 3)
+        assert all(type(v) is int for v in (spec.dim, spec.rank_a, spec.seed))
+        a, t = gen_instance(spec)
+        a0, t0 = gen_instance(InstanceSpec(dim=4, rank_a=2, seed=3))
+        assert np.array_equal(a, a0) and np.array_equal(t, t0)
+
 
 class TestConstructions:
     @pytest.mark.parametrize("dim,rank", [(2, 2), (3, 2), (4, 3), (5, 5), (6, 4)])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from anumrad import (
     InstanceSpec,
+    ScaleRangeError,
     bound_th1,
     bound_th2,
     bound_th3,
@@ -102,6 +103,27 @@ def test_non_adjointable_verdict_is_scale_invariant(n):
         assert not is_adjointable(ctx, t * 2.0**k), k
     for k in (50, -50):
         assert not is_adjointable(psd_decompose(a * 4.0**k), t), k
+
+
+@pytest.mark.parametrize("t, w", [(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5), (np.diag([1.0, -1.0]), 1.0)])
+def test_power_of_two_sweep_is_certified_or_refused(t, w):
+    # w_A(2^k T) = 2^k w exactly for A = I_2, and max|C| = 2^k at rank 2.
+    # Outside the certified range ||D||_A overflows (2^512 J) or the guard
+    # underflows (2^-1054 J), so make_a_operator must refuse the operator.
+    ctx = psd_decompose(np.eye(2))
+    op_x = make_a_operator(ctx, np.array([[1.0, 2.0], [-1.0, 0.5j]]))
+    op_y = make_a_operator(ctx, np.array([[0.0, 1j], [3.0, -1.0]]))
+    for k in range(-1074, 1024):
+        scaled = t * 2.0**k
+        if not -500 <= k <= 499:
+            with pytest.raises(ScaleRangeError):
+                make_a_operator(ctx, scaled)
+            continue
+        op = make_a_operator(ctx, scaled)
+        rad = radius_theta_scan(op)
+        assert rad.lower <= w * 2.0**k <= rad.upper, k
+        reports = _lower_bounds(op, rad) + list(commutator_th5(op, op_x, op_y, "-", rad))
+        assert all(r.holds for r in reports), (k, [r.formula_id for r in reports if not r.holds])
 
 
 def _random_unitary(rng, n):

@@ -8,6 +8,7 @@ from anumrad import (
     LinAlgInputError,
     NotHermitianError,
     NotPsdError,
+    ScaleRangeError,
     TolerancePolicy,
     hermitian_eig,
     psd_decompose,
@@ -127,6 +128,16 @@ class TestPsdDecompose:
         assert ctx.rank == 1
         assert np.allclose(ctx.pinv_a, np.diag([1.0, 0.0]))
         assert np.allclose(ctx.proj, np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("k", [-501, 501, 1000])
+    def test_rejects_lambda_max_outside_the_scale_range(self, k):
+        with pytest.raises(ScaleRangeError, match="lambda_max"):
+            psd_decompose(np.diag([2.0**k, 0.0, 2.0**k / 3]))
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_accepts_lambda_max_at_the_scale_range_ends(self, k):
+        ctx = psd_decompose(np.diag([2.0**k, 0.0, 2.0**k / 3]))
+        assert ctx.rank == 2 and ctx.lam_max == 2.0**k
 
     def test_zero_matrix_rank_zero(self):
         ctx = psd_decompose(np.zeros((4, 4)))

@@ -28,7 +28,7 @@ def make_op(a, t):
 
 def uniform_reference(op, grid_n):
     """The scan on the full uniform grid: argmax, guard, bracket refinement
-    and the largest cosine cell bound over all grid_n cells."""
+    and the largest support-line vertex bound over all grid_n cells."""
     delta = math.pi / grid_n
     thetas = np.arange(grid_n) * delta
     vals = phase_profile(op, thetas)
@@ -48,14 +48,24 @@ def uniform_reference(op, grid_n):
             h /= 4.0
     lower = max(best - guard, 0.0)
     fa, fb = vals, np.roll(vals, -1)
-    cos_d, sin_d = math.cos(delta), math.sin(delta)
+    x = (fb - fa * math.cos(delta)) / math.sin(delta)
+    inside = (x >= 0.0) & (fa >= fb * math.cos(delta))
+    certificate = float(np.max(np.where(inside, np.hypot(fa, x), np.maximum(fa, fb))))
+    return lower, max(certificate + guard, lower), theta_star % math.pi
+
+
+def cosine_cell_bounds(fa, fb, width):
+    """The cell bound by the cosine construction: the peak of a rectified
+    cosinusoid r cos(theta - t - a) through both endpoint values, at angle
+    a = arctan((fb - fa cos w) / (fa sin w)) into the cell, is fa / cos(a)
+    when 0 <= a <= width, else the larger endpoint value bounds the cell."""
+    cos_d, sin_d = math.cos(width), math.sin(width)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.arctan((fb - fa * cos_d) / (fa * sin_d))
         crossing = fa / np.cos(a)
-    interior = (fa > 0.0) & (a >= 0.0) & (a <= delta)
+    interior = (fa > 0.0) & (a >= 0.0) & (a <= width)
     cell = np.where(interior, crossing, np.maximum(fa, fb))
-    certificate = float(np.max(np.maximum(cell, np.maximum(fa, fb))))
-    return lower, max(certificate + guard, lower), theta_star % math.pi
+    return np.maximum(cell, np.maximum(fa, fb))
 
 
 def complex_sampling_reference(op, n_samples, seed):
@@ -245,6 +255,47 @@ def test_pruned_scan_matches_uniform_reference(construction, rank_a, grid_n):
         assert rad.lower == lower
         assert rad.theta_star == theta_star
         assert upper - 2 * math.ulp(upper) <= rad.upper <= upper
+
+
+class TestCellBounds:
+    """The support-line vertex equals the cosine construction's peak."""
+
+    @staticmethod
+    def assert_matches_cosine(fa, fb, width):
+        # fa / cos(a) loses tan(a) ulps to the rounding of cos near a = pi/2,
+        # so the allowance grows with the width past pi/4; the scan's cells
+        # are never wider than pi/4 (grid_n >= 4), where it is 4 ulps.
+        got, ref = radius._cell_bounds(fa, fb, width), cosine_cell_bounds(fa, fb, width)
+        ulps = np.abs(got - ref) / np.spacing(np.maximum(np.abs(got), np.abs(ref)))
+        assert ulps.max() <= 4.0 * max(1.0, math.tan(width))
+
+    def test_random_cells(self):
+        rng = np.random.default_rng(11)
+        widths = np.concatenate(
+            [math.pi / 2 * np.geomspace(1e-6, 1.0 - 1e-9, 40), math.pi / np.array([4, 32, 45, 720, 1440])]
+        )
+        for width in widths:
+            fa = rng.uniform(0.0, 2.0, 500)
+            # Ratios fb/fa on both sides of the cone edges cos(w) and 1/cos(w).
+            fb = fa * rng.uniform(0.0, 1.2 / math.cos(width), 500)
+            self.assert_matches_cosine(fa, fb, width)
+            self.assert_matches_cosine(fb, fa, width)
+
+    @pytest.mark.parametrize("width", [math.pi / 720, math.pi / 32, math.pi / 4, 1.5])
+    def test_edge_cases(self, width):
+        c = math.cos(width)
+        fa = np.array([0.0, 0.0, 1.0, 1.0, 0.7, 1.0, c])
+        fb = np.array([0.0, 1.0, 0.0, 1.0, 0.7, c, 1.0])  # vertex on the left end, then the right
+        self.assert_matches_cosine(fa, fb, width)
+        np.testing.assert_array_equal(radius._cell_bounds(fa[:3], fb[:3], width), [0.0, 1.0, 1.0])
+
+    def test_single_cosinusoid_is_exact(self):
+        # f = r |cos(theta - phi)| with its peak inside the cell: the bound is r.
+        r, t, width = 2.5, 0.1, math.pi / 45
+        for phi in t + width * np.array([0.0, 0.3, 0.5, 0.9, 1.0]):
+            fa, fb = r * abs(math.cos(t - phi)), r * abs(math.cos(t + width - phi))
+            got = float(radius._cell_bounds(np.array([fa]), np.array([fb]), width)[0])
+            assert got == pytest.approx(r, rel=4e-16, abs=0.0)
 
 
 class TestPruning:
