@@ -36,13 +36,11 @@ from .harness import (
 )
 from .linalg import (
     DimensionMismatchError,
-    HermEig,
     LinAlgInputError,
     NotHermitianError,
     NotPsdError,
     ScaleRangeError,
     TolerancePolicy,
-    hermitian_eig,
     spectral_norm,
 )
 from .radius import (

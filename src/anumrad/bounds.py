@@ -3,9 +3,10 @@ characterizations, and commutator upper bounds.
 
 The evaluators read the per-operator norms cached on :class:`AOperator`
 (``seminorm``, ``part_norms``, ``form_norm``), so each is computed once per
-operator however many bounds use it. The commutator bounds share one
-unrefined radius scan of TX +- YT per sign (they read only upper ends), and
-the two equality diagnostics share one evaluation of the phase profile.
+operator however many bounds use it. The commutator bounds take T's
+enclosure and scan at its grid: one unrefined radius scan of TX +- YT per
+sign (they read only upper ends). The two equality diagnostics share one
+evaluation of the phase profile.
 
 Every check is emitted as a :class:`BoundReport` whose slack is oriented so
 that "holds" always means slack >= -check_rel_tol * max(|lhs|, |rhs|). Where
@@ -167,12 +168,6 @@ def _require_same_context(*ops: AOperator) -> PsdContext:
     return ctx
 
 
-def _sign_value(sign: str) -> float:
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return 1.0 if sign == "+" else -1.0
-
-
 def _commutator_radius(op_t, op_x, op_y, s, grid_n) -> float:
     """Grid-certified upper end of w_A(TX + sYT); nothing reads its lower end.
     B_A(H) is an algebra and an adjointable T maps null(A) into null(A), so
@@ -195,41 +190,34 @@ def _reduced_radii(op: AOperator, w: float) -> tuple[float, float]:
 
 
 def commutator_th5(
-    op_t: AOperator,
-    op_x: AOperator,
-    op_y: AOperator,
-    sign: str = "-",
-    rad_t: RadiusEstimate | None = None,
-    grid_n: int = 720,
-) -> tuple[BoundReport, BoundReport, BoundReport]:
-    """All three upper bounds on w_A(TX +- YT), from one radius scan of it:
-    lem1, max(||X||_A, ||Y||_A) sqrt(2 ||T#A T + T T#A||_A), then the two
-    refined bounds th5_i and th5_ii."""
+    op_t: AOperator, op_x: AOperator, op_y: AOperator, rad_t: RadiusEstimate
+) -> tuple[BoundReport, ...]:
+    """The three upper bounds on w_A(TX + YT), then the same three on
+    w_A(TX - YT), each triple from one radius scan at rad_t's grid: lem1,
+    max(||X||_A, ||Y||_A) sqrt(2 ||T#A T + T T#A||_A), then the two refined
+    bounds th5_i and th5_ii, which read w_A(T) from rad_t."""
     tol = _require_same_context(op_t, op_x, op_y).tol
-    s = _sign_value(sign)
-    rad_t = rad_t if rad_t is not None else radius_theta_scan(op_t, grid_n, refine=False)
-    lhs = _commutator_radius(op_t, op_x, op_y, s, grid_n)
     norm_xy = max(op_x.seminorm, op_y.seminorm)
     factor = 2.0 * SQRT2 * norm_xy
     red_i, red_ii = _reduced_radii(op_t, rad_t.upper)
-    rhs_lem = norm_xy * math.sqrt(2.0 * op_t.form_norm)
-    return (
-        _report("lem1", lhs, rhs_lem, tol, "upper"),
-        _report("th5_i", lhs, factor * red_i, tol, "upper"),
-        _report("th5_ii", lhs, factor * red_ii, tol, "upper"),
+    rhs = (
+        ("lem1", norm_xy * math.sqrt(2.0 * op_t.form_norm)),
+        ("th5_i", factor * red_i),
+        ("th5_ii", factor * red_ii),
     )
+    reports = []
+    for s in (1.0, -1.0):
+        lhs = _commutator_radius(op_t, op_x, op_y, s, rad_t.grid_n)
+        reports += [_report(formula_id, lhs, r, tol, "upper") for formula_id, r in rhs]
+    return tuple(reports)
 
 
-def commutator_compare(
-    op_t: AOperator,
-    op_s: AOperator,
-    rad_t: RadiusEstimate | None = None,
-    grid_n: int = 720,
-) -> CommutatorComparison:
+def commutator_compare(op_t: AOperator, op_s: AOperator, rad_t: RadiusEstimate) -> CommutatorComparison:
     """Refined bounds 2 sqrt2 min(alpha1, alpha2) and 2 sqrt2 min(beta1, beta2)
-    for w_A(TS +- ST), next to 2 sqrt2 min(||T|| w_A(S), ||S|| w_A(T))."""
+    for w_A(TS +- ST), next to 2 sqrt2 min(||T|| w_A(S), ||S|| w_A(T)). S and
+    both products are scanned at rad_t's grid."""
     _require_same_context(op_t, op_s)
-    rad_t = rad_t if rad_t is not None else radius_theta_scan(op_t, grid_n, refine=False)
+    grid_n = rad_t.grid_n
     wt, ws = rad_t.upper, radius_theta_scan(op_s, grid_n, refine=False).upper
     nt, ns = op_t.seminorm, op_s.seminorm
     red_t, red_s = _reduced_radii(op_t, wt), _reduced_radii(op_s, ws)

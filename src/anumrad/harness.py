@@ -246,7 +246,7 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
             ev.violations.append(f"[{index}] unexpected non-adjointable instance")
         return ev
 
-    rad = radius_theta_scan(op, config.grid_n, refine=True)
+    rad = radius_theta_scan(op, config.grid_n)
     sampled = radius_sampling(op, config.n_samples, seed=spec.seed + 1)
     ev = InstanceEvaluation(
         index=index, spec=spec, adjointable=True, ctx=ctx, op=op, rad=rad, sampled=sampled
@@ -266,9 +266,8 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
     ev.partner = gen_partner(ctx, [spec.seed, 1])
     ev.op_x = gen_partner(ctx, [spec.seed, 2])
     ev.op_y = gen_partner(ctx, [spec.seed, 3])
-    for sign in ("+", "-"):
-        ev.reports.extend(commutator_th5(op, ev.op_x, ev.op_y, sign, rad, config.grid_n))
-    cmp = commutator_compare(op, ev.partner, rad, grid_n=config.grid_n)
+    ev.reports.extend(commutator_th5(op, ev.op_x, ev.op_y, rad))
+    cmp = commutator_compare(op, ev.partner, rad)
     ev.comparison = cmp
     if not config.tol.at_most(max(cmp.refined31, cmp.refined32), cmp.zamani_bound):
         ev.violations.append(f"[{index}] refined commutator bound exceeds baseline")

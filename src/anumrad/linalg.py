@@ -1,11 +1,11 @@
 """Dense complex-matrix primitives with an explicit tolerance policy.
 
 Everything downstream (seminorms, adjoints, radius scans) is built on the
-three operations here: a checked Hermitian eigendecomposition, the spectral
-norm, and validation helpers. :class:`TolerancePolicy` holds the tolerances of
-the verdicts, each comparing two quantities relative to the larger of their
-magnitudes; the rank cutoff of A is not a tolerance but a rounding bound
-worked out from A itself (``space.psd_decompose``).
+operations here: the spectral norm and validation helpers.
+:class:`TolerancePolicy` holds the tolerances of the verdicts, each
+comparing two quantities relative to the larger of their magnitudes; the
+rank cutoff of A is not a tolerance but a rounding bound worked out from A
+itself (``space.psd_decompose``).
 """
 
 from __future__ import annotations
@@ -124,32 +124,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(f"expected length {dim}, got {arr.shape[0]}")
     return arr
-
-
-@dataclass(frozen=True)
-class HermEig:
-    """Eigendecomposition M = U diag(w) U* with eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m, asym_rel_tol: float = 1e-8) -> HermEig:
-    """Eigendecomposition of a (nearly) Hermitian matrix.
-
-    The input is symmetrized as (M + M*)/2 before decomposition; an
-    asymmetry exceeding ``asym_rel_tol`` relative to max|M| is an error.
-    """
-    arr = as_square_matrix(m)
-    scale = float(np.abs(arr).max())
-    asym = float(np.abs(arr - arr.conj().T).max())
-    if scale > 0.0 and asym > asym_rel_tol * scale:
-        raise NotHermitianError(
-            f"matrix is materially non-Hermitian (asymmetry {asym:.3e}, scale {scale:.3e})"
-        )
-    sym = (arr + arr.conj().T) / 2.0
-    w, u = np.linalg.eigh(sym)
-    return HermEig(eigenvalues=w, eigenvectors=u)
 
 
 def sigma_max(c: np.ndarray) -> float:

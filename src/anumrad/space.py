@@ -8,6 +8,7 @@ and its compression to them. Everything else is computed on first read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,12 +18,12 @@ from .linalg import (
     SCALE_MAX,
     SCALE_MIN,
     LinAlgInputError,
+    NotHermitianError,
     NotPsdError,
     ScaleRangeError,
     TolerancePolicy,
     as_square_matrix,
     as_vector,
-    hermitian_eig,
     sigma_max,
 )
 
@@ -69,7 +70,9 @@ class PsdContext:
 def psd_decompose(a_raw, tol: TolerancePolicy | None = None) -> PsdContext:
     """Validate and spectrally decompose a positive semidefinite A.
 
-    The input is symmetrized. One rounding bound decides rank and PSD-ness:
+    An asymmetry max|A - A*| above check_rel_tol max|A| raises
+    NotHermitianError; otherwise (A + A*)/2 is formed once, stored and
+    decomposed. One rounding bound decides rank and PSD-ness:
     eps_A = 32 n eps lambda_max, a multiple of the normwise backward error
     of ``eigh`` on n x n A (numpy's ``matrix_rank`` cuts at n eps sigma_max).
     Eigenvalues above eps_A are kept, below -eps_A raise NotPsdError, and
@@ -82,8 +85,14 @@ def psd_decompose(a_raw, tol: TolerancePolicy | None = None) -> PsdContext:
     """
     tol = tol if tol is not None else TolerancePolicy()
     arr = as_square_matrix(a_raw)
-    eig = hermitian_eig(arr, asym_rel_tol=tol.check_rel_tol)
-    w = eig.eigenvalues
+    scale = float(np.abs(arr).max())
+    asym = float(np.abs(arr - arr.conj().T).max())
+    if scale > 0.0 and asym > tol.check_rel_tol * scale:
+        raise NotHermitianError(
+            f"matrix is materially non-Hermitian (asymmetry {asym:.3e}, scale {scale:.3e})"
+        )
+    a = (arr + arr.conj().T) / 2.0
+    w, u = np.linalg.eigh(a)
     lam_max = float(max(w[-1], 0.0))
     if lam_max != 0.0 and not SCALE_MIN <= lam_max <= SCALE_MAX:
         raise ScaleRangeError(f"lambda_max(A) = {lam_max:.3e} lies outside [2^-500, 2^500]")
@@ -91,10 +100,10 @@ def psd_decompose(a_raw, tol: TolerancePolicy | None = None) -> PsdContext:
     if w[0] < -cutoff:
         raise NotPsdError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
     keep = w > cutoff
-    q = eig.eigenvectors[:, keep]
+    q = u[:, keep]
     return PsdContext(
         dim=arr.shape[0],
-        a=(arr + arr.conj().T) / 2.0,
+        a=a,
         lam_max=lam_max,
         rank=q.shape[1],
         range_basis=q,
@@ -117,16 +126,32 @@ def a_norm_vec(ctx: PsdContext, x) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
+def _unit_scaled(t: np.ndarray) -> np.ndarray:
+    """T times the power of two 2^e that puts the largest |Re| or |Im| entry
+    in [1/2, 1), so that products with A (lambda_max <= 2^500) cannot
+    overflow; exact for every entry that stays a normal float. 2^e is
+    applied in two halves: 2.0**e alone overflows for the e = 1073 of a
+    subnormal max|T| and is subnormal for the e = -1024 of the largest."""
+    top = max(float(np.abs(t.real).max()), float(np.abs(t.imag).max()))
+    if top == 0.0:
+        return t
+    e = -math.frexp(top)[1]
+    return t * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+
+
 def is_adjointable(ctx: PsdContext, t) -> bool:
     """Douglas condition R(T*A) subset R(A), tested as a relative residual.
 
     True when rank(A) is 0 or n. Otherwise ||(I - QQ*)T*AQ||, which equals
     ||(I - QQ*)T*A|| as A = AQQ*, against check_rel_tol * lambda_max * ||T||,
-    which bounds ||T*AQ|| and its rounding, so rescaling T or A keeps the verdict.
+    which bounds ||T*AQ|| and its rounding, so rescaling T or A keeps the
+    verdict. The verdict is homogeneous in T, so T is first scaled by a power
+    of two (``_unit_scaled``) and T*AQ cannot overflow.
     """
     arr = as_square_matrix(t, ctx.dim)
     if ctx.rank in (0, ctx.dim):
         return True
+    arr = _unit_scaled(arr)
     q = ctx.range_basis
     taq = arr.conj().T @ (ctx.a @ q)
     residual = sigma_max(taq - q @ (q.conj().T @ taq))
@@ -218,7 +243,8 @@ def seminorm_mat(ctx: PsdContext, m) -> float:
 
 def is_a_selfadjoint(ctx: PsdContext, t) -> bool:
     """True iff ||AT - T*A|| <= check_rel_tol * lambda_max * ||T||, the
-    residual in the units of AT."""
-    arr = as_square_matrix(t, ctx.dim)
+    residual in the units of AT, evaluated on T scaled by a power of two as
+    in :func:`is_adjointable`."""
+    arr = _unit_scaled(as_square_matrix(t, ctx.dim))
     residual = sigma_max(ctx.a @ arr - arr.conj().T @ ctx.a)
     return residual <= ctx.tol.check_rel_tol * ctx.lam_max * sigma_max(arr)

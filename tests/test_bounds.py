@@ -24,6 +24,7 @@ from anumrad import (
     radius_theta_scan,
     spectral_norm,
 )
+from anumrad import bounds
 from anumrad.io import to_dict
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -224,22 +225,31 @@ class TestCommutatorBounds:
         self.op_t = make_a_operator(ctx, JORDAN)
         self.op_x = make_a_operator(ctx, JORDAN.conj().T)
         self.op_y = make_a_operator(ctx, JORDAN.conj().T)
+        self.rad_t = radius_theta_scan(self.op_t, 720)
+
+    def test_reports_come_plus_then_minus(self):
+        ident = make_a_operator(self.ctx, np.eye(2))
+        reports = commutator_th5(self.op_t, ident, ident, self.rad_t)
+        assert [r.formula_id for r in reports] == ["lem1", "th5_i", "th5_ii"] * 2
+        # T + T = 2T has radius 1, T - T = 0 radius 0
+        assert reports[0].lhs == pytest.approx(1.0, rel=1e-5)
+        assert reports[3].lhs == 0.0
 
     def test_lemma_example(self):
         # TX - YT = diag(1, -1): lhs = 1 against rhs = sqrt(2)
-        rep = commutator_th5(self.op_t, self.op_x, self.op_y, "-")[0]
+        rep = commutator_th5(self.op_t, self.op_x, self.op_y, self.rad_t)[3]
         assert rep.lhs == pytest.approx(1.0, rel=1e-6)
         assert rep.rhs == pytest.approx(SQRT2, rel=1e-12)
         assert rep.holds and not rep.tight
 
     def test_lemma_zero_partners(self):
         zero = make_a_operator(self.ctx, np.zeros((2, 2)))
-        rep = commutator_th5(self.op_t, zero, zero, "+")[0]
+        rep = commutator_th5(self.op_t, zero, zero, self.rad_t)[0]
         assert rep.lhs == 0.0 and rep.rhs == 0.0
         assert rep.holds and rep.tight
 
     def test_th5_example(self):
-        _, rep_i, rep_ii = commutator_th5(self.op_t, self.op_x, self.op_y, "-")
+        rep_i, rep_ii = commutator_th5(self.op_t, self.op_x, self.op_y, self.rad_t)[4:]
         assert rep_i.formula_id == "th5_i"
         assert rep_ii.formula_id == "th5_ii"
         # both radicands reduce to w^2 = 1/4 here, so both bounds are sqrt 2
@@ -249,13 +259,13 @@ class TestCommutatorBounds:
 
     def test_th5_identity_partners_anticommutator(self):
         ident = make_a_operator(self.ctx, np.eye(2))
-        _, rep_i, _ = commutator_th5(self.op_t, ident, ident, "+")
+        rep_i = commutator_th5(self.op_t, ident, ident, self.rad_t)[1]
         # lhs = w(2T) = 1, rhs = 2 sqrt2 sqrt(1/4) = sqrt 2
         assert rep_i.lhs == pytest.approx(1.0, rel=1e-5)
         assert rep_i.holds
 
     def test_compare_example(self):
-        cmp = commutator_compare(self.op_t, self.op_x)
+        cmp = commutator_compare(self.op_t, self.op_x, self.rad_t)
         assert cmp.zamani_bound == pytest.approx(SQRT2, rel=1e-5)
         assert cmp.alpha1 == pytest.approx(0.5, rel=1e-5)
         assert cmp.refined31 == pytest.approx(SQRT2, rel=1e-5)
@@ -270,7 +280,7 @@ class TestCommutatorBounds:
             ctx = psd_decompose(np.eye(n))
             op_t = make_a_operator(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
             op_s = make_a_operator(ctx, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            cmp = commutator_compare(op_t, op_s)
+            cmp = commutator_compare(op_t, op_s, radius_theta_scan(op_t, 720))
             slack = 1e-10 * cmp.zamani_bound
             assert cmp.refined31 <= cmp.zamani_bound + slack
             assert cmp.refined32 <= cmp.zamani_bound + slack
@@ -280,13 +290,9 @@ class TestCommutatorBounds:
     def test_context_mismatch_rejected(self):
         other = make_a_operator(psd_decompose(np.diag([2.0, 1.0])), JORDAN)
         with pytest.raises(ContextMismatchError):
-            commutator_th5(self.op_t, other, other)
+            commutator_th5(self.op_t, other, other, self.rad_t)
         with pytest.raises(ContextMismatchError):
-            commutator_compare(self.op_t, other)
-
-    def test_invalid_sign_rejected(self):
-        with pytest.raises(ValueError):
-            commutator_th5(self.op_t, self.op_x, self.op_y, "*")
+            commutator_compare(self.op_t, other, self.rad_t)
 
 
 @pytest.mark.parametrize("construction", ["random", "nilpotent_half", "shared_eigenbasis_selfadjoint"])
@@ -298,11 +304,34 @@ def test_commutator_radii_share_one_unrefined_path(construction, rank_a):
     op_t = make_a_operator(ctx, t)
     op_s = gen_partner(ctx, [seed, 1])
     # TS +- ST is TX +- YT with X = Y = S, bit for bit.
-    cmp = commutator_compare(op_t, op_s)
-    assert cmp.w_plus == commutator_th5(op_t, op_s, op_s, "+")[0].lhs
-    assert cmp.w_minus == commutator_th5(op_t, op_s, op_s, "-")[0].lhs
+    rad_t = radius_theta_scan(op_t, 720)
+    cmp = commutator_compare(op_t, op_s, rad_t)
+    reports = commutator_th5(op_t, op_s, op_s, rad_t)
+    assert cmp.w_plus == reports[0].lhs
+    assert cmp.w_minus == reports[3].lhs
     # The refinement moves only the lower end, so unrefined scans give the same upper.
     ts, st = op_t.t @ op_s.t, op_s.t @ op_t.t
     for op in (op_t, op_s, make_a_operator(ctx, ts + st), make_a_operator(ctx, ts - st)):
         for grid_n in (64, 720):
             assert radius_theta_scan(op, grid_n, refine=False).upper == radius_theta_scan(op, grid_n).upper
+
+
+@pytest.mark.parametrize("grid_n", [90, 720])
+def test_commutator_scans_run_at_the_grid_of_rad_t(monkeypatch, grid_n):
+    grids = []
+    scan = bounds.radius_theta_scan
+
+    def recording(op, grid, *args, **kwargs):
+        grids.append(grid)
+        return scan(op, grid, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "radius_theta_scan", recording)
+    a, t = gen_instance(InstanceSpec(dim=4, rank_a=3, seed=5))
+    ctx = psd_decompose(a)
+    op_t = make_a_operator(ctx, t)
+    op_x, op_y = gen_partner(ctx, [5, 2]), gen_partner(ctx, [5, 3])
+    rad_t = scan(op_t, grid_n)
+    commutator_th5(op_t, op_x, op_y, rad_t)
+    commutator_compare(op_t, op_x, rad_t)
+    # two products for th5, then S and its two products for the comparison
+    assert grids == [grid_n] * 5

@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from anumrad import cli
 from anumrad.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from anumrad.io import InstanceFormatError, load_instance, save_instance
 
@@ -97,6 +100,17 @@ class TestRadius:
         assert main(["radius", "--in", str(path)]) == EXIT_IO
         assert "max|C|" in capsys.readouterr().err
 
+    def test_overflowing_douglas_product_is_an_input_error(self, tmp_path, capsys):
+        # lambda_max(A) = 2^500 and max|T| = 2^530 overflowed T*AQ, and the
+        # SVD's LinAlgError (a ValueError) came out as a usage error
+        path = tmp_path / "leak.json"
+        t = np.array([[1.0, 2.0**530], [0.0, 0.0]])
+        save_instance(path, {"A": 2.0**500 * np.diag([1.0, 0.0]), "T": t})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["radius", "--in", str(path)]) == EXIT_IO
+        assert "no A-adjoint" in capsys.readouterr().err
+
     def test_tiny_grid_is_usage_error(self, jordan_file):
         assert main(["radius", "--in", str(jordan_file), "--grid-n", "2"]) == EXIT_USAGE
         assert main(["radius", "--in", str(jordan_file), "--samples", "-5"]) == EXIT_USAGE
@@ -110,6 +124,20 @@ class TestBounds:
         ids = [r["formula_id"] for r in payload["reports"]]
         assert ids == ["eqv_lower", "eqv_upper", "eqv1_lower", "eqv1_upper", "th1", "th2", "th3", "th4"]
         assert all(r["holds"] for r in payload["reports"])
+
+    def test_a_failing_report_exits_with_counterexample(self, jordan_file, tmp_path, monkeypatch):
+        classic_bounds = cli.classic_bounds
+
+        def failing(op, rad):
+            reports = classic_bounds(op, rad)
+            reports[1] = dataclasses.replace(reports[1], holds=False)
+            return reports
+
+        monkeypatch.setattr(cli, "classic_bounds", failing)
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--in", str(jordan_file), "--out", str(out)]) == EXIT_COUNTEREXAMPLE
+        reports = json.loads(out.read_text())["reports"]
+        assert [r["formula_id"] for r in reports if not r["holds"]] == ["eqv_upper"]
 
     @pytest.mark.parametrize("k", [512, 520])
     def test_scale_outside_the_certified_range_is_an_input_error(self, tmp_path, capsys, k):

@@ -57,8 +57,7 @@ def _verdicts(a, t, seed):
     rad = radius_theta_scan(op)
     reports = _lower_bounds(op, rad)
     op_x, op_y = gen_partner(ctx, [seed, 2]), gen_partner(ctx, [seed, 3])
-    for sign in ("+", "-"):
-        reports += commutator_th5(op, op_x, op_y, sign, rad)
+    reports += commutator_th5(op, op_x, op_y, rad)
     diags = [equality_half_norm(op, rad, 180), equality_quarter_form(op, rad, 180)]
     verdicts = {
         "adjointable": is_adjointable(ctx, t),
@@ -122,7 +121,7 @@ def test_power_of_two_sweep_is_certified_or_refused(t, w):
         op = make_a_operator(ctx, scaled)
         rad = radius_theta_scan(op)
         assert rad.lower <= w * 2.0**k <= rad.upper, k
-        reports = _lower_bounds(op, rad) + list(commutator_th5(op, op_x, op_y, "-", rad))
+        reports = _lower_bounds(op, rad) + list(commutator_th5(op, op_x, op_y, rad))
         assert all(r.holds for r in reports), (k, [r.formula_id for r in reports if not r.holds])
 
 

@@ -10,15 +10,9 @@ from anumrad import (
     NotPsdError,
     ScaleRangeError,
     TolerancePolicy,
-    hermitian_eig,
     psd_decompose,
     spectral_norm,
 )
-
-
-def random_hermitian(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (g + g.conj().T) / 2.0
 
 
 def random_psd(rng, n, rank):
@@ -54,36 +48,42 @@ class TestTolerancePolicy:
 
 
 class TestHermitianEig:
+    """The checked Hermitian eigensolve inside ``psd_decompose``."""
+
     def test_identity(self):
-        eig = hermitian_eig(np.eye(2))
-        assert np.allclose(eig.eigenvalues, [1.0, 1.0])
-        u = eig.eigenvectors
-        assert np.allclose(u.conj().T @ u, np.eye(2))
+        ctx = psd_decompose(np.eye(2))
+        assert np.allclose(ctx.root, [1.0, 1.0])
+        q = ctx.range_basis
+        assert np.allclose(q.conj().T @ q, np.eye(2))
 
     def test_pauli_x(self):
-        eig = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
+        # I + X has eigenvalues 0 and 2, eigenvector (1, 1)/sqrt 2 for 2
+        ctx = psd_decompose(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert ctx.rank == 1
+        assert ctx.root**2 == pytest.approx([2.0])
+        assert np.allclose(np.abs(ctx.range_basis[:, 0]), [2.0**-0.5, 2.0**-0.5])
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(3)
-        m = random_hermitian(rng, 5)
-        eig = hermitian_eig(m)
-        rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
-        assert np.abs(rebuilt - m).max() < 1e-12
-        gram = eig.eigenvectors.conj().T @ eig.eigenvectors
-        assert np.abs(gram - np.eye(5)).max() < 1e-12
+        m = random_psd(rng, 5, 5)
+        ctx = psd_decompose(m)
+        assert np.array_equal(ctx.a, (m + m.conj().T) / 2.0)
+        q = ctx.range_basis
+        rebuilt = (q * ctx.root**2) @ q.conj().T
+        assert np.abs(rebuilt - m).max() < 1e-12 * np.abs(m).max()
+        assert np.abs(q.conj().T @ q - np.eye(5)).max() < 1e-12
 
     def test_rejects_non_square(self):
         with pytest.raises(LinAlgInputError):
-            hermitian_eig(np.ones((2, 3)))
+            psd_decompose(np.ones((2, 3)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(LinAlgInputError):
-            hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            psd_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_rejects_material_asymmetry(self):
         with pytest.raises(NotHermitianError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            psd_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSpectralNorm:
@@ -96,7 +96,7 @@ class TestSpectralNorm:
     def test_scaled_nilpotent(self):
         m = np.array([[0.0, np.sqrt(2.0)], [0.0, 0.0]])
         # independent route: largest eigenvalue of M*M
-        oracle = np.sqrt(hermitian_eig(m.conj().T @ m).eigenvalues[-1])
+        oracle = np.sqrt(np.linalg.eigvalsh(m.conj().T @ m)[-1])
         assert spectral_norm(m) == pytest.approx(oracle, rel=1e-14)
         assert spectral_norm(m) == pytest.approx(1.4142135623730951, rel=1e-12)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,28 @@ class TestAdjointabilityVerdicts:
         with pytest.raises(NotAdjointableError):
             make_a_operator(ctx, s * t)
 
+    def test_products_with_a_cannot_overflow(self):
+        # lambda_max(A) = 2^500 times max|T| = 2^530 overflowed T*AQ and
+        # AT - T*A, and the SVD of inf/nan raised numpy's LinAlgError
+        ctx = psd_decompose(2.0**500 * np.diag([1.0, 0.0]))
+        t = np.array([[1.0, 2.0**530], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_adjointable(ctx, t)
+            with pytest.raises(NotAdjointableError):
+                make_a_operator(ctx, t)
+            assert not is_a_selfadjoint(ctx, t)
+            assert is_adjointable(ctx, t.T) and is_a_selfadjoint(ctx, np.diag([1.0, 2.0**530]))
+
+    @pytest.mark.parametrize("s", [2.0**-1074, 2.0**-1060])
+    def test_subnormal_t_keeps_its_verdict(self, s):
+        # max|T| subnormal: the scaling power 2^1073 is out of reach of 2.0**e
+        ctx = psd_decompose(np.diag([2.0, 0.0]))
+        assert not is_adjointable(ctx, s * np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert is_adjointable(ctx, s * np.array([[1.0, 0.0], [1j, 1.0]]))
+        assert is_a_selfadjoint(ctx, s * np.diag([1.0, 3.0]))
+        assert not is_a_selfadjoint(ctx, s * np.diag([1j, 0.0]))
+
     @pytest.mark.parametrize("rel, expected", [(1e-4, False), (1e-12, True)])
     def test_leak_from_null_into_range(self, rel, expected):
         # T = PT0P plus rel ||PT0P|| x y* with x in range(A) and y in null(A):
@@ -207,9 +231,9 @@ class TestNoEagerWork:
         ctx, op_t = random_adjointable(rng, 4, 3)
         op_x = make_a_operator(ctx, ctx.proj @ rng.standard_normal((4, 4)) @ ctx.proj)
         op_y = make_a_operator(ctx, ctx.proj @ rng.standard_normal((4, 4)) @ ctx.proj)
-        for sign in ("+", "-"):
-            commutator_th5(op_t, op_x, op_y, sign, grid_n=90)
-        commutator_compare(op_t, op_x, grid_n=90)
+        rad_t = radius_theta_scan(op_t, 90)
+        commutator_th5(op_t, op_x, op_y, rad_t)
+        commutator_compare(op_t, op_x, rad_t)
         assert len(products) == 4
         assert not any("seminorm" in vars(prod) for prod in products)
 
@@ -366,9 +390,9 @@ class TestOperatorInvariants:
         ctx = psd_decompose(a)
         op_t = make_a_operator(ctx, t)
         op_x, op_y = gen_partner(ctx, 1), gen_partner(ctx, 2)
-        for sign in ("+", "-"):
-            commutator_th5(op_t, op_x, op_y, sign, grid_n=90)
-        commutator_compare(op_t, op_x, grid_n=90)
+        rad_t = radius_theta_scan(op_t, 90)
+        commutator_th5(op_t, op_x, op_y, rad_t)
+        commutator_compare(op_t, op_x, rad_t)
         assert len(products) == 4
         scale = op_t.seminorm * max(op_x.seminorm, op_y.seminorm)
         for prod in products:
