@@ -72,11 +72,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rng.add_argument("--out", required=True)
 
     verify = sub.add_parser("verify", help="run the randomized verification suite")
-    verify.add_argument("--n", type=int, default=200)
-    verify.add_argument("--dims", type=_parse_dims, default=tuple(range(2, 9)))
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--grid-n", type=int, default=720)
-    verify.add_argument("--samples", type=int, default=10_000)
+    suite = SuiteConfig()
+    verify.add_argument("--n", type=int, default=suite.n_instances)
+    verify.add_argument("--dims", type=_parse_dims, default=suite.dims)
+    verify.add_argument("--seed", type=int, default=suite.seed)
+    verify.add_argument("--grid-n", type=int, default=suite.grid_n)
+    verify.add_argument("--samples", type=int, default=suite.n_samples)
     rel = "relative to the larger of the two compared magnitudes (default %(default)s)"
     tol = TolerancePolicy()
     verify.add_argument("--tol", type=float, default=tol.check_rel_tol, help=f"holds: {rel}")
@@ -129,7 +130,7 @@ def _cmd_bounds(args) -> int:
     reports = classic_bounds(op, rad)
     reports += [bound_th1(op, rad), bound_th2(op, rad), bound_th3(op, rad), bound_th4(op, rad)]
     payload = {"radius": aio.to_dict(rad)}
-    if "X" in inst and "Y" in inst:
+    if "X" in inst:
         op_x = make_a_operator(ctx, inst["X"])
         op_y = make_a_operator(ctx, inst["Y"])
         reports.extend(commutator_th5(op, op_x, op_y, rad))
@@ -156,7 +157,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         grid_n=args.grid_n,
         n_samples=args.samples,
-        constructions=tuple(args.construction) if args.construction else ("random",),
+        constructions=tuple(args.construction or SuiteConfig.constructions),
         tol=TolerancePolicy(check_rel_tol=args.tol, equality_rel_tol=args.equality_tol),
     )
     report = run_suite(config)

@@ -41,6 +41,8 @@ def save_instance(path, matrices: dict) -> None:
     """Write an instance JSON {"dim": n, "A": ..., "T": ..., optional S/X/Y}."""
     if "A" not in matrices or "T" not in matrices:
         raise InstanceFormatError("instance requires at least matrices 'A' and 'T'")
+    if (matrices.get("X") is None) != (matrices.get("Y") is None):
+        raise InstanceFormatError("instance requires both of 'X' and 'Y' or neither")
     if np.ndim(matrices["A"]) != 2:
         raise InstanceFormatError(f"matrix 'A' must be 2-d, got shape {np.shape(matrices['A'])}")
     dim = np.shape(matrices["A"])[0]
@@ -73,6 +75,8 @@ def load_instance(path) -> dict:
             out[key] = matrix_from_json(payload[key], dim)
     if "A" not in out or "T" not in out:
         raise InstanceFormatError("instance file must contain matrices 'A' and 'T'")
+    if ("X" in out) != ("Y" in out):
+        raise InstanceFormatError("instance file must contain both of 'X' and 'Y' or neither")
     return out
 
 

@@ -120,10 +120,8 @@ def a_inner(ctx: PsdContext, x, y) -> complex:
 
 
 def a_norm_vec(ctx: PsdContext, x) -> float:
-    """The seminorm ||x||_A; vanishes on null(A)."""
-    xv = as_vector(x, ctx.dim)
-    val = (xv.conj() @ (ctx.a @ xv)).real
-    return float(np.sqrt(max(val, 0.0)))
+    """The seminorm ||x||_A = sqrt(<x,x>_A); vanishes on null(A)."""
+    return float(np.sqrt(max(a_inner(ctx, x, x).real, 0.0)))
 
 
 def _unit_scaled(t: np.ndarray) -> np.ndarray:
@@ -236,9 +234,9 @@ def make_a_operator(ctx: PsdContext, t) -> AOperator:
 
 
 def seminorm_mat(ctx: PsdContext, m) -> float:
-    """A-seminorm of a raw matrix, without building a full AOperator."""
-    arr = as_square_matrix(m, ctx.dim)
-    return sigma_max(ctx.compress(arr))
+    """||M||_A of a raw matrix; raises as :func:`make_a_operator` does, so a
+    matrix outside B_A(H), where ||M||_A can be unbounded, is refused."""
+    return make_a_operator(ctx, m).seminorm
 
 
 def is_a_selfadjoint(ctx: PsdContext, t) -> bool:

@@ -8,7 +8,7 @@ import pytest
 
 from anumrad import cli
 from anumrad.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from anumrad.io import InstanceFormatError, load_instance, save_instance
+from anumrad.io import InstanceFormatError, load_instance, matrix_to_json, save_instance
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -38,6 +38,13 @@ class TestGen:
     def test_invalid_dim_is_usage_error(self, tmp_path):
         out = tmp_path / "x.json"
         assert main(["gen", "--dim", "1", "--out", str(out)]) == EXIT_USAGE
+
+    def test_probe_at_rank_zero_is_usage_error(self, tmp_path):
+        # A = 0 makes every T adjointable, so no probe can be drawn
+        out = tmp_path / "x.json"
+        args = ["gen", "--dim", "3", "--rank-a", "0", "--construction", "nonadjointable_probe"]
+        assert main(args + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     @pytest.mark.parametrize("scale", ["inf", "-inf", "nan", "0"])
     def test_non_finite_or_non_positive_scale_is_usage_error(self, tmp_path, scale):
@@ -161,6 +168,19 @@ class TestBounds:
         cmp = payload["commutator_comparison"]
         assert cmp["refined31"] <= cmp["zamani_bound"] * (1.0 + 1e-10)
         assert all(r["holds"] for r in payload["reports"])
+
+    @pytest.mark.parametrize("key", ["X", "Y"])
+    def test_partner_without_its_pair_is_a_format_error(self, tmp_path, capsys, key):
+        path = tmp_path / "half.json"
+        half = {"A": np.eye(2), "T": JORDAN, key: np.eye(2)}
+        with pytest.raises(InstanceFormatError, match="'X' and 'Y'"):
+            save_instance(path, half)
+        assert not path.exists()
+        path.write_text(json.dumps({"dim": 2, **{k: matrix_to_json(m) for k, m in half.items()}}))
+        with pytest.raises(InstanceFormatError, match="'X' and 'Y'"):
+            load_instance(path)
+        assert main(["bounds", "--in", str(path)]) == EXIT_IO
+        assert "'X' and 'Y'" in capsys.readouterr().err
 
 
 class TestRange:

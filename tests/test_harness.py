@@ -4,6 +4,7 @@ import pytest
 from anumrad import (
     CONSTRUCTIONS,
     InstanceSpec,
+    ProbeRetryError,
     SuiteConfig,
     classic_bounds,
     evaluate_instance,
@@ -18,7 +19,7 @@ from anumrad import (
     search_half_norm_converse,
     spectral_norm,
 )
-from anumrad import bounds
+from anumrad import bounds, harness
 from anumrad.io import load_instance, save_instance
 
 
@@ -39,6 +40,7 @@ class TestInstanceSpec:
             {"dim": 3, "rank_a": 3, "scale": 0.0},
             {"dim": 3, "rank_a": 3, "scale": float("inf")},
             {"dim": 3, "rank_a": 3, "scale": float("nan")},
+            {"dim": 3, "rank_a": 0, "construction": "nonadjointable_probe"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -116,6 +118,30 @@ class TestConstructions:
         spec = InstanceSpec(dim=3, rank_a=2, construction="nonadjointable_probe", seed=5)
         a, t = gen_instance(spec)
         assert not is_adjointable(psd_decompose(a), t)
+
+    def test_probe_is_one_draw(self, monkeypatch):
+        calls = []
+
+        def counting(ctx, t):
+            calls.append(ctx.dim)
+            return is_adjointable(ctx, t)
+
+        monkeypatch.setattr(harness, "is_adjointable", counting)
+        specs = [
+            InstanceSpec(dim=n, rank_a=r, construction="nonadjointable_probe", seed=seed)
+            for n in range(2, 9)
+            for r in range(1, n)
+            for seed in range(3)
+        ]
+        for spec in specs:
+            gen_instance(spec)
+        assert len(calls) == len(specs)
+
+    def test_adjointable_probe_draw_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "is_adjointable", lambda ctx, t: True)
+        spec = InstanceSpec(dim=3, rank_a=2, construction="nonadjointable_probe", seed=5)
+        with pytest.raises(ProbeRetryError):
+            gen_instance(spec)
 
     def test_deterministic_and_roundtrip(self, tmp_path):
         spec = InstanceSpec(dim=5, rank_a=3, construction="random", seed=99)

@@ -283,6 +283,12 @@ class TestSeminorm:
         ctx, op = random_adjointable(rng, 5, 3)
         assert seminorm_mat(ctx, op.t) == pytest.approx(op.seminorm, rel=1e-12)
 
+    def test_seminorm_mat_rejects_non_adjointable(self):
+        # x = e2 has ||x||_A = 0 and ||Jx||_A = 1, so ||J||_A is unbounded
+        ctx = psd_decompose(np.diag([1.0, 0.0]))
+        with pytest.raises(NotAdjointableError):
+            seminorm_mat(ctx, JORDAN)
+
 
 class TestSelfadjoint:
     def test_hermitian_with_identity_weight(self):
