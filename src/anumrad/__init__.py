@@ -19,7 +19,6 @@ from .bounds import (
     commutator_th5,
     equality_diagnostics,
     equality_half_norm,
-    equality_quarter_form,
 )
 from .harness import (
     CONSTRUCTIONS,
@@ -32,7 +31,6 @@ from .harness import (
     gen_instance,
     gen_partner,
     run_suite,
-    search_half_norm_converse,
 )
 from .linalg import (
     DimensionMismatchError,

@@ -155,11 +155,6 @@ def equality_half_norm(op: AOperator, rad: RadiusEstimate, grid_n: int = 180) ->
     return equality_diagnostics(op, rad, grid_n)[0]
 
 
-def equality_quarter_form(op: AOperator, rad: RadiusEstimate, grid_n: int = 180) -> EqualityDiagnostic:
-    """The w_A(T) = sqrt(||T#A T + T T#A||_A / 4) element of ``equality_diagnostics``."""
-    return equality_diagnostics(op, rad, grid_n)[1]
-
-
 def _require_same_context(*ops: AOperator) -> PsdContext:
     ctx = ops[0].ctx
     for other in ops[1:]:

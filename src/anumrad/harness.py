@@ -305,29 +305,3 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
         wall_time=time.perf_counter() - start,
     )
 
-
-def search_half_norm_converse(
-    dims=(2, 3, 4), n_trials: int = 200, seed: int = 0, grid_n: int = 720
-) -> list[InstanceSpec]:
-    """Randomized search for instances where ||Re_A(T)||_A = ||Im_A(T)||_A
-    = ||T||_A / 2 at theta = 0 yet w_A(T) > ||T||_A / 2, i.e. witnesses that
-    the single-angle condition does not imply the equality. Findings are
-    reported, never asserted; an empty result at small dimension is a valid
-    outcome.
-    """
-    found = []
-    rng = np.random.default_rng(seed)
-    tol = TolerancePolicy()
-    for trial in range(n_trials):
-        dim = int(rng.choice(dims))
-        spec = InstanceSpec(dim=dim, rank_a=dim, construction="random", seed=seed + 7919 * trial)
-        a, t = gen_instance(spec)
-        ctx = psd_decompose(a, tol)
-        op = make_a_operator(ctx, t)
-        half = op.seminorm / 2.0
-        re_n, im_n = op.part_norms[:2]
-        if not (tol.close(re_n, half) and tol.close(im_n, half)):
-            continue
-        if not tol.at_most(radius_theta_scan(op, grid_n).lower, half):
-            found.append(spec)
-    return found

@@ -23,7 +23,7 @@ import numpy as np
 from .linalg import LinAlgInputError, as_count
 from .space import AOperator
 
-_BRACKET = np.array([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75])  # probe offsets, in steps
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of a side, 0.381966...
 
 
 class DegenerateRankError(LinAlgInputError):
@@ -36,7 +36,7 @@ class RadiusEstimate:
 
     theta_star is the (refined) maximizer of f on [0, pi). grid_n is the
     finest spacing pi / grid_n that the nested, pruned scan reaches: lower
-    comes from the maximum of f over that uniform grid, raised by a bracket
+    comes from the maximum of f over that uniform grid, raised by a parabolic
     search around its argmax, and upper from the larger of that maximum and
     the support-line vertices of the finest surviving cells, never above the
     uniform grid's certificate, which keeps upper <= lower / cos(pi / (2 grid_n)).
@@ -46,7 +46,6 @@ class RadiusEstimate:
     upper: float
     theta_star: float
     grid_n: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -103,6 +102,58 @@ def _cell_bounds(fa: np.ndarray, fb: np.ndarray, width: float) -> np.ndarray:
     return np.where(inside, np.hypot(fa, x), np.maximum(fa, fb))
 
 
+def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: float) -> tuple[float, float]:
+    """The angle and value of the largest f found near the grid argmax x.
+
+    Safeguarded successive parabolic interpolation (R. P. Brent, Algorithms
+    for Minimization without Derivatives, 1973) on the bracket
+    [x - delta, x + delta], seeded with fa, fx and fb, the values of f at
+    x - delta, x and x + delta. The bracket a < x < b keeps its best point x
+    inside, so the parabola through the three points is concave and peaks in
+    the bracket. Each step evaluates f at one angle: the parabola's vertex
+    when it lies more than 1e-6 delta from x but less than half the step
+    before last, and predicts a gain above eps f(x); otherwise the
+    golden-section point of the larger side. The search stops once the
+    bracket is narrower than delta / 8 and the parabola predicts a gain of
+    at most eps f(x), or once the bracket is 4e-6 delta wide.
+    """
+    eps = np.finfo(float).eps
+    a, b = x - delta, x + delta
+    theta_star, best = max((x, fx), (a, fa), (b, fb), key=lambda p: p[1])
+    moves = (2.0 * delta, 2.0 * delta)  # the last two steps, the older first
+    while b - a > 4e-6 * delta:
+        da, db = a - x, b - x
+        sa, sb = (fa - fx) / da, (fb - fx) / db
+        curv = (sb - sa) / (db - da)  # the parabola is fx + slope t + curv t^2
+        slope = sa - curv * da
+        if curv < 0.0:
+            t = -slope / (2.0 * curv)
+            gain = 0.5 * slope * t
+        else:  # not concave: it peaks at an end, which is already evaluated
+            t, gain = math.inf, 0.0
+        if b - a < delta / 8.0 and gain <= eps * fx:
+            break
+        if da < t < db and 1e-6 * delta < abs(t) < 0.5 * moves[0] and gain > eps * fx:
+            u, moves = x + t, (moves[1], abs(t))
+        else:
+            side = db if db > -da else da
+            u, moves = x + _GOLDEN * side, (moves[1], abs(side))
+        fu = float(phase_profile(op, [u])[0])
+        if fu > best:
+            theta_star, best = u, fu
+        if fu > fx:  # u is the new best point; x becomes an end
+            if u < x:
+                b, fb = x, fx
+            else:
+                a, fa = x, fx
+            x, fx = u, fu
+        elif u < x:
+            a, fa = u, fu
+        else:
+            b, fb = u, fu
+    return theta_star, best
+
+
 def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> RadiusEstimate:
     """Certified enclosure of w_A(T) via a nested, pruned theta scan over [0, pi).
 
@@ -125,10 +176,10 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     above the uniform grid's certificate. A profile with nothing to drop (a
     flat one) evaluates each grid angle exactly once.
 
-    The grid maximum is a certified lower bound. Refinement, a batched
-    bracket search around the grid argmax (42 angles in 7 calls), can only
-    raise it and never touches the grid-based upper certificate, since
-    pruning reads grid values only. refine=False is for callers that read
+    The grid maximum is a certified lower bound. Refinement, a parabolic
+    search seeded by the grid argmax and its two neighbours (``_polish``,
+    about five single-angle calls), can only raise it and never touches the
+    grid-based upper certificate, since pruning reads grid values only. refine=False is for callers that read
     only ``upper``, which does not depend on it.
     """
     grid_n = as_count(grid_n, "grid_n", 4)
@@ -156,15 +207,16 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     # far below the certificate width, it absorbs evaluation noise so that
     # the enclosure stays valid and doubling the grid never loosens it.
     guard = grid_max * (delta / math.pi) ** 2 * 1e-3
-    theta_star, best, h = j * delta, grid_max, delta
+    theta_star, best = j * delta, grid_max
     if refine and grid_max > 0.0:
-        for _ in range(7):
-            probes = theta_star + h * _BRACKET
-            probed = phase_profile(op, probes)
-            k = int(np.argmax(probed))
-            if probed[k] > best:
-                theta_star, best = float(probes[k]), float(probed[k])
-            h /= 4.0
+        # Seed the polish with the grid's own neighbours of the argmax and
+        # evaluate, in one call, whichever of them pruning skipped.
+        ends = (j + np.array([-1, 1])) % grid_n
+        f_ends = vals[ends]
+        skipped = np.isneginf(f_ends)
+        if skipped.any():
+            f_ends[skipped] = phase_profile(op, ends[skipped] * delta)
+        theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
     lower = max(best - guard, 0.0)
     upper = max(max(grid_max, float(bounds.max())) + guard, lower)
     return RadiusEstimate(
@@ -172,7 +224,6 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
         upper=upper,
         theta_star=theta_star % math.pi,
         grid_n=grid_n,
-        method="theta_scan",
     )
 
 

@@ -16,7 +16,6 @@ from anumrad import (
     commutator_th5,
     equality_diagnostics,
     equality_half_norm,
-    equality_quarter_form,
     gen_instance,
     gen_partner,
     make_a_operator,
@@ -156,21 +155,21 @@ class TestEqualityDiagnostics:
 
     def test_jordan_quarter_form_case(self):
         op, rad = prepared(np.eye(2), JORDAN)
-        diag = equality_quarter_form(op, rad)
+        diag = equality_diagnostics(op, rad)[1]
         assert diag.equality_holds
         assert diag.re_im_constant and diag.disk.is_disk
         assert diag.target == pytest.approx(0.5, rel=1e-12)
 
     def test_zero_operator_degenerate(self):
         op, rad = prepared(np.eye(2), np.zeros((2, 2)))
-        diag = equality_quarter_form(op, rad)
+        diag = equality_diagnostics(op, rad)[1]
         assert diag.equality_holds
         assert diag.re_im_constant and diag.disk.is_disk
 
     def test_selfadjoint_quarter_form_fails(self):
         # ||D||_A = 2 gives target 1/sqrt 2 < w = 1, and f = |cos| is not flat
         op, rad = prepared(np.eye(2), np.diag([1.0, -1.0]))
-        diag = equality_quarter_form(op, rad)
+        diag = equality_diagnostics(op, rad)[1]
         assert diag.target == pytest.approx(1.0 / SQRT2, rel=1e-12)
         assert not diag.equality_holds
         assert not diag.re_im_constant
@@ -178,7 +177,7 @@ class TestEqualityDiagnostics:
 
     def test_jordan_verdicts_on_small_even_grid(self):
         op, rad = prepared(np.eye(2), JORDAN)
-        for diag in (equality_half_norm(op, rad, 8), equality_quarter_form(op, rad, 8)):
+        for diag in (equality_half_norm(op, rad, 8), equality_diagnostics(op, rad, 8)[1]):
             assert diag.equality_holds and diag.re_im_constant and diag.disk.is_disk
 
     @pytest.mark.parametrize("t", [JORDAN, np.diag([1.0, -1.0]), np.diag([1.0 + 1.0j, 0.0])])
@@ -186,15 +185,29 @@ class TestEqualityDiagnostics:
         op, rad = prepared(np.eye(2), t)
         for grid_n in (8, 180):
             pair = equality_diagnostics(op, rad, grid_n)
-            assert pair == (equality_half_norm(op, rad, grid_n), equality_quarter_form(op, rad, grid_n))
+            assert pair[0] == equality_half_norm(op, rad, grid_n)
+            assert [d.case_id for d in pair] == ["half_norm", "quarter_form"]
+            assert pair[1].target == math.sqrt(op.form_norm / 4.0)
+
+    def test_half_norm_converse_witness(self):
+        # ||Re_A T||_A = ||Im_A T||_A = ||T||_A / 2 at theta = 0 does not force
+        # w_A(T) = ||T||_A / 2: T = J_2 + 0.45(1 + i) at A = I_3 has
+        # ||T||_A = 1 and both part norms 1/2, yet w_A(T) = 0.45 sqrt 2, the
+        # modulus of the scalar block, exceeds w(J_2) = 1/2.
+        t = np.zeros((3, 3), dtype=complex)
+        t[:2, :2] = JORDAN
+        t[2, 2] = 0.45 * (1.0 + 1.0j)
+        op, rad = prepared(np.eye(3), t)
+        assert op.seminorm == pytest.approx(1.0, rel=1e-15)
+        assert op.part_norms[:2] == pytest.approx((0.5, 0.5), rel=1e-15)
+        assert rad.lower <= 0.45 * SQRT2 <= rad.upper
+        assert not equality_diagnostics(op, rad)[0].equality_holds
 
     @pytest.mark.parametrize("grid_n", [181, 9, 6])
     def test_rejects_odd_or_tiny_grid(self, grid_n):
         op, rad = prepared(np.eye(2), JORDAN)
         with pytest.raises(ValueError):
             equality_half_norm(op, rad, grid_n)
-        with pytest.raises(ValueError):
-            equality_quarter_form(op, rad, grid_n)
         with pytest.raises(ValueError):
             equality_diagnostics(op, rad, grid_n)
 

@@ -16,7 +16,6 @@ from anumrad import (
     psd_decompose,
     radius_theta_scan,
     run_suite,
-    search_half_norm_converse,
     spectral_norm,
 )
 from anumrad import bounds, harness
@@ -267,9 +266,3 @@ class TestSuite:
             "shared_eigenbasis_selfadjoint",
             "nonadjointable_probe",
         }
-
-    def test_converse_search_runs(self):
-        found = search_half_norm_converse(dims=(2, 3), n_trials=20, seed=1)
-        assert isinstance(found, list)
-        for spec in found:
-            assert isinstance(spec, InstanceSpec)

@@ -21,8 +21,8 @@ from anumrad import (
     classic_bounds,
     commutator_th5,
     disk_test,
+    equality_diagnostics,
     equality_half_norm,
-    equality_quarter_form,
     gen_instance,
     gen_partner,
     is_adjointable,
@@ -58,7 +58,7 @@ def _verdicts(a, t, seed):
     reports = _lower_bounds(op, rad)
     op_x, op_y = gen_partner(ctx, [seed, 2]), gen_partner(ctx, [seed, 3])
     reports += commutator_th5(op, op_x, op_y, rad)
-    diags = [equality_half_norm(op, rad, 180), equality_quarter_form(op, rad, 180)]
+    diags = [equality_half_norm(op, rad, 180), equality_diagnostics(op, rad, 180)[1]]
     verdicts = {
         "adjointable": is_adjointable(ctx, t),
         "reports": [(r.formula_id, r.holds, r.tight) for r in reports],

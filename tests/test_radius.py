@@ -27,31 +27,45 @@ def make_op(a, t):
 
 
 def uniform_reference(op, grid_n):
-    """The scan on the full uniform grid: argmax, guard, bracket refinement
-    and the largest support-line vertex bound over all grid_n cells."""
+    """The scan on the full uniform grid: argmax, guard, the parabolic polish
+    seeded with the argmax's two grid neighbours, and the largest
+    support-line vertex bound over all grid_n cells."""
     delta = math.pi / grid_n
     thetas = np.arange(grid_n) * delta
     vals = phase_profile(op, thetas)
     j = int(np.argmax(vals))
     grid_max = float(vals[j])
     guard = grid_max * (delta / math.pi) ** 2 * 1e-3
-    theta_star, best, h = float(thetas[j]), grid_max, delta
+    theta_star, best = j * delta, grid_max
     if grid_max > 0.0:
-        # Seven rounds of six probes at quarter steps around the best point;
-        # the step shrinks fourfold per round.
-        for _ in range(7):
-            probes = theta_star + h * np.array([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75])
-            probed = phase_profile(op, probes)
-            k = int(np.argmax(probed))
-            if probed[k] > best:
-                theta_star, best = float(probes[k]), float(probed[k])
-            h /= 4.0
+        theta_star, best = radius._polish(op, j * delta, delta, vals[j - 1], grid_max, vals[(j + 1) % grid_n])
     lower = max(best - guard, 0.0)
     fa, fb = vals, np.roll(vals, -1)
     x = (fb - fa * math.cos(delta)) / math.sin(delta)
     inside = (x >= 0.0) & (fa >= fb * math.cos(delta))
     certificate = float(np.max(np.where(inside, np.hypot(fa, x), np.maximum(fa, fb))))
     return lower, max(certificate + guard, lower), theta_star % math.pi
+
+
+def bracket_oracle(op, grid_n, rounds=25):
+    """High-effort reference for the refined lower end: the former bracket
+    search, six probes at quarter steps around the best point per round,
+    the step quartered each round, run for 25 rounds instead of 7."""
+    delta = math.pi / grid_n
+    vals = phase_profile(op, np.arange(grid_n) * delta)
+    j = int(np.argmax(vals))
+    grid_max = float(vals[j])
+    guard = grid_max * (delta / math.pi) ** 2 * 1e-3
+    theta_star, best, h = j * delta, grid_max, delta
+    if grid_max > 0.0:
+        for _ in range(rounds):
+            probes = theta_star + h * np.array([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75])
+            probed = phase_profile(op, probes)
+            k = int(np.argmax(probed))
+            if probed[k] > best:
+                theta_star, best = float(probes[k]), float(probed[k])
+            h /= 4.0
+    return max(best - guard, 0.0)
 
 
 def cosine_cell_bounds(fa, fb, width):
@@ -148,7 +162,6 @@ class TestThetaScan:
         rad = radius_theta_scan(make_op(np.eye(2), JORDAN))
         assert rad.lower <= 0.5 <= rad.upper
         assert rad.upper - rad.lower <= 1e-5
-        assert rad.method == "theta_scan"
 
     def test_hermitian_equals_norm(self):
         rad = radius_theta_scan(make_op(np.eye(2), np.diag([1.0, -1.0])))
@@ -228,7 +241,11 @@ class TestThetaScan:
 
 
 @pytest.mark.parametrize("grid_n", [8, 64, 181, 720])
-def test_refinement_adds_at_most_seven_calls_over_42_angles(monkeypatch, grid_n):
+def test_refinement_call_budget(monkeypatch, grid_n):
+    # The polish adds at most one call for the argmax's grid neighbours that
+    # pruning skipped, then one angle per call: at most 42 angles in all,
+    # which the former bracket search spent on every operator, and at most
+    # 12 from grid 181 on.
     calls = record_profile_calls(monkeypatch)
     for construction in ADJOINTABLE:
         for seed in range(3):
@@ -238,8 +255,31 @@ def test_refinement_adds_at_most_seven_calls_over_42_angles(monkeypatch, grid_n)
             unrefined = list(calls)
             calls.clear()
             radius_theta_scan(op, grid_n)
-            assert len(calls) - len(unrefined) <= 7
-            assert sum(calls) - sum(unrefined) <= 42
+            added = calls[len(unrefined) :]
+            assert calls[: len(unrefined)] == unrefined
+            assert all(n == 1 for n in added[1:]) and added[:1] in ([], [1], [2])
+            assert sum(added) <= (12 if grid_n >= 181 else 42)
+
+
+@pytest.mark.parametrize("construction", ADJOINTABLE)
+@pytest.mark.parametrize("rank_a", [5, 3])
+@pytest.mark.parametrize("grid_n", [8, 64, 181, 720, 1440])
+def test_polish_matches_bracket_oracle(monkeypatch, construction, rank_a, grid_n):
+    # The parabolic polish reaches the 25-round bracket search's lower end to
+    # 1e-13 relative, never lowers the grid's lower end, leaves upper alone,
+    # and adds at most 12 eigensolves from grid 181 on, 42 at every grid.
+    counted = count_mats(monkeypatch, "eigvalsh")
+    for seed in range(3):
+        op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=rank_a, construction=construction, seed=seed)))
+        counted[0] = 0
+        coarse = radius_theta_scan(op, grid_n, refine=False)
+        unrefined = counted[0]
+        counted[0] = 0
+        refined = radius_theta_scan(op, grid_n)
+        assert counted[0] - unrefined <= (12 if grid_n >= 181 else 42)
+        assert refined.lower >= coarse.lower
+        assert refined.upper == coarse.upper
+        assert abs(refined.lower - bracket_oracle(op, grid_n)) <= 1e-13 * refined.upper
 
 
 @pytest.mark.parametrize("construction", ADJOINTABLE)
