@@ -51,6 +51,7 @@ from .radius import (
     radius_sampling,
     radius_theta_scan,
     range_cloud,
+    witness_value,
 )
 from .space import (
     AOperator,

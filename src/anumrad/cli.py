@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--dims", type=_parse_dims, default=suite.dims)
     verify.add_argument("--seed", type=int, default=suite.seed)
     verify.add_argument("--grid-n", type=int, default=suite.grid_n)
-    verify.add_argument("--samples", type=int, default=suite.n_samples)
     rel = "relative to the larger of the two compared magnitudes (default %(default)s)"
     tol = TolerancePolicy()
     verify.add_argument("--tol", type=float, default=tol.check_rel_tol, help=f"holds: {rel}")
@@ -156,7 +155,6 @@ def _cmd_verify(args) -> int:
         dims=tuple(args.dims),
         seed=args.seed,
         grid_n=args.grid_n,
-        n_samples=args.samples,
         constructions=tuple(args.construction or SuiteConfig.constructions),
         tol=TolerancePolicy(check_rel_tol=args.tol, equality_rel_tol=args.equality_tol),
     )

@@ -108,8 +108,8 @@ def evaluation_to_dict(ev: InstanceEvaluation) -> dict:
     }
     if ev.rad is not None:
         out["radius"] = to_dict(ev.rad)
-    if ev.sampled is not None:
-        out["sampled"] = ev.sampled
+    if ev.witness_value is not None:
+        out["witness_value"] = ev.witness_value
     out["reports"] = [to_dict(r) for r in ev.reports]
     out["diagnostics"] = [to_dict(d) for d in ev.diagnostics]
     if ev.comparison is not None:

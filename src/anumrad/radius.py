@@ -227,6 +227,27 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     )
 
 
+def witness_value(op: AOperator, theta: float) -> float:
+    """|<ATx, x>| / <Ax, x> for the witness vector x of the angle theta.
+
+    v is the eigenvector of the r x r support pencil H(theta) whose
+    eigenvalue has the largest modulus (f(theta) can be attained at
+    lambda_min), mapped back to C^n as x = Q diag(1/root) v, so that
+    A^{1/2} x = Q v. The value is computed from the n x n A and T, never
+    from the compression, so it checks the enclosure against the raw
+    operator: it is at least f(theta) and at most w_A(T), up to rounding.
+    Returns 0 for rank(A) = 0.
+    """
+    ctx = op.ctx
+    if ctx.rank == 0:
+        return 0.0
+    lam, vecs = np.linalg.eigh(_support_pencils(op, np.array([float(theta)]))[0])
+    v = vecs[:, np.argmax(np.abs(lam))]
+    x = ctx.range_basis @ (v / ctx.root)
+    ax = ctx.a @ x
+    return float(abs(np.vdot(ax, op.t @ x)) / np.vdot(x, ax).real)
+
+
 def _real_form(m: np.ndarray) -> np.ndarray:
     """The real matrix [[Re m, -Im m], [Im m, Re m]], which acts on stacked
     (Re x, Im x) as m acts on x."""

@@ -207,18 +207,19 @@ class TestVerify:
     def test_small_run_exits_clean(self, tmp_path):
         out = tmp_path / "suite.json"
         args = [
-            "verify", "--n", "6", "--dims", "2..3", "--seed", "42",
-            "--samples", "1000", "--out", str(out),
+            "verify", "--n", "6", "--dims", "2..3", "--seed", "42", "--out", str(out),
         ]
         assert main(args) == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["counterexamples"] == []
         assert payload["n_instances"] == 6
         assert {inst["spec"]["dim"] for inst in payload["instances"]} == {2, 3}
+        assert "n_samples" not in payload["config"]
+        assert all("witness_value" in inst and "sampled" not in inst for inst in payload["instances"])
 
     def test_dims_list_syntax(self, tmp_path):
         out = tmp_path / "suite.json"
-        args = ["verify", "--n", "4", "--dims", "2,4", "--samples", "500", "--out", str(out)]
+        args = ["verify", "--n", "4", "--dims", "2,4", "--out", str(out)]
         assert main(args) == EXIT_OK
         payload = json.loads(out.read_text())
         assert {inst["spec"]["dim"] for inst in payload["instances"]} == {2, 4}
@@ -229,7 +230,8 @@ class TestVerify:
 
     def test_invalid_grid_or_samples_is_usage_error_without_instances(self, tmp_path):
         out = tmp_path / "suite.json"
-        for flags in (["--grid-n", "3"], ["--samples", "-5"]):
+        # verify draws no samples, so --samples is an unknown option
+        for flags in (["--grid-n", "3"], ["--samples", "1000"]):
             assert main(["verify", "--n", "0", *flags, "--out", str(out)]) == EXIT_USAGE
             assert not out.exists()
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,9 @@ from anumrad import (
     radius_theta_scan,
     run_suite,
     spectral_norm,
+    witness_value,
 )
-from anumrad import bounds, harness
+from anumrad import bounds, harness, radius
 from anumrad.io import load_instance, save_instance
 
 
@@ -181,7 +184,7 @@ class TestSuite:
             {"constructions": ()},
             {"n_instances": -1},
             {"n_instances": 0, "grid_n": 3},
-            {"n_instances": 0, "n_samples": -5},
+            {"n_instances": 0, "seed": -5},
             {"dims": (2, 99)},
             {"n_instances": 0, "dims": (1, 99)},
             {"n_instances": 0, "dims": (65,)},
@@ -197,7 +200,7 @@ class TestSuite:
             {"n_instances": 2.0},
             {"seed": 1.5},
             {"grid_n": 720.0},
-            {"n_samples": 0.5},
+            {"grid_n": np.float64(720.0)},
             {"dims": (3.0,)},
             {"dims": (2, 3.5)},
             {"n_instances": True},
@@ -213,10 +216,9 @@ class TestSuite:
             dims=(np.int32(3),),
             seed=np.uint8(5),
             grid_n=np.int64(64),
-            n_samples=np.int16(10),
         )
-        values = (config.n_instances, *config.dims, config.seed, config.grid_n, config.n_samples)
-        assert values == (2, 3, 5, 64, 10)
+        values = (config.n_instances, *config.dims, config.seed, config.grid_n)
+        assert values == (2, 3, 5, 64)
         assert all(type(v) is int for v in values)
         assert run_suite(config).ok
 
@@ -225,7 +227,7 @@ class TestSuite:
         assert run_suite(SuiteConfig(n_instances=0)).evaluations == []
 
     def test_small_suite_clean(self):
-        config = SuiteConfig(n_instances=12, dims=(2, 3, 4), seed=5, n_samples=2000)
+        config = SuiteConfig(n_instances=12, dims=(2, 3, 4), seed=5)
         report = run_suite(config)
         assert report.ok
         assert report.counterexamples == []
@@ -244,7 +246,7 @@ class TestSuite:
             return profile(op, thetas)
 
         monkeypatch.setattr(bounds, "phase_profile", recording)
-        config = SuiteConfig(n_instances=7, seed=42, n_samples=100)
+        config = SuiteConfig(n_instances=7, seed=42)
         assert [s.dim for s in config.instance_specs()] == list(range(2, 9))
         for i, spec in enumerate(config.instance_specs()):
             calls.clear()
@@ -254,10 +256,42 @@ class TestSuite:
 
     def test_probe_instances_recorded_not_flagged(self):
         spec = InstanceSpec(dim=3, rank_a=1, construction="nonadjointable_probe", seed=2)
-        ev = evaluate_instance(spec, SuiteConfig(n_instances=1, n_samples=100))
+        ev = evaluate_instance(spec, SuiteConfig(n_instances=1))
         assert not ev.adjointable
         assert ev.violations == []
         assert ev.rad is None
+
+    def test_evaluate_instance_draws_no_samples(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("radius_sampling called")
+
+        monkeypatch.setattr(radius, "radius_sampling", refuse)
+        monkeypatch.setattr(harness, "radius_sampling", refuse, raising=False)
+        config = SuiteConfig(n_instances=7, seed=42)
+        for i, spec in enumerate(config.instance_specs()):
+            ev = evaluate_instance(spec, config, index=i)
+            assert ev.violations == []
+            assert ev.rad.lower <= ev.witness_value <= ev.rad.upper
+            assert ev.sampled == ev.witness_value
+            assert ev.witness_value == witness_value(ev.op, ev.rad.theta_star)
+
+    @pytest.mark.parametrize("shift", [1e-6, -1e-6])
+    def test_witness_flags_a_shifted_enclosure(self, monkeypatch, shift):
+        # At grid 2880 every enclosure here is narrower than 1e-6 relative,
+        # so shifting both ends by 1e-6 relative, up or down, moves the
+        # enclosure off the witness value.
+        scan = harness.radius_theta_scan
+
+        def shifted(op, grid_n):
+            rad = scan(op, grid_n)
+            assert rad.upper - rad.lower < 1e-6 * rad.upper
+            return dataclasses.replace(rad, lower=rad.lower * (1 + shift), upper=rad.upper * (1 + shift))
+
+        monkeypatch.setattr(harness, "radius_theta_scan", shifted)
+        config = SuiteConfig(n_instances=7, seed=42, grid_n=2880, constructions=("random", "nilpotent_half"))
+        for i, spec in enumerate(config.instance_specs()):
+            ev = evaluate_instance(spec, config, index=i)
+            assert f"[{i}] witness value outside the certified enclosure" in ev.violations
 
     def test_constructions_tuple_is_complete(self):
         assert set(CONSTRUCTIONS) == {

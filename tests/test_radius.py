@@ -14,6 +14,7 @@ from anumrad import (
     radius_sampling,
     radius_theta_scan,
     range_cloud,
+    witness_value,
 )
 from anumrad import radius
 
@@ -513,6 +514,53 @@ def test_sampling_matches_complex_reference_large(dim, rank_a, n_samples):
         op = make_op(*gen_instance(InstanceSpec(dim=dim, rank_a=rank_a, construction=construction, seed=4)))
         expected = complex_sampling_reference(op, n_samples, seed=11)
         assert radius_sampling(op, n_samples, seed=11) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+class TestWitness:
+    @pytest.mark.parametrize(
+        "a, t, expected",
+        [
+            (np.eye(2), JORDAN, 0.5),
+            (np.diag([2.0, 1.0]), JORDAN, math.sqrt(2.0) / 2.0),
+            (np.eye(3), np.diag([1.0 + 1.0j, -0.5, 0.25j]), math.sqrt(2.0)),
+        ],
+    )
+    def test_closed_forms(self, a, t, expected):
+        op = make_op(a, t)
+        theta_star = radius_theta_scan(op).theta_star
+        assert witness_value(op, theta_star) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_rank_zero_and_zero_operator(self):
+        assert witness_value(make_op(np.zeros((2, 2)), JORDAN), 0.3) == 0.0
+        assert witness_value(make_op(np.eye(3), np.zeros((3, 3))), 0.3) == 0.0
+
+    def test_eigenvalue_of_largest_modulus(self):
+        # f(0) = 2 is attained at lambda_min = -2 of H(0) = T.
+        op = make_op(np.eye(2), np.diag([1.0, -2.0]))
+        assert witness_value(op, 0.0) == 2.0
+
+    @pytest.mark.parametrize("construction", ADJOINTABLE)
+    @pytest.mark.parametrize("rank_a", [5, 3])
+    @pytest.mark.parametrize("grid_n", [8, 64, 720])
+    def test_inside_the_enclosure(self, construction, rank_a, grid_n):
+        for seed in range(3):
+            op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=rank_a, construction=construction, seed=seed)))
+            rad = radius_theta_scan(op, grid_n)
+            assert rad.lower <= witness_value(op, rad.theta_star) <= rad.upper
+
+    @pytest.mark.parametrize("construction", ADJOINTABLE)
+    @pytest.mark.parametrize("rank_a", [5, 3])
+    def test_diagonal_congruence(self, construction, rank_a):
+        # A' = DAD, T' = D^-1 T D with D = diag(2^-e) is exact in floating
+        # point, and <A'T'x, x> = <AT Dx, Dx>, <A'x, x> = <A Dx, Dx>.
+        d = 2.0 ** -np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+        for seed in range(3):
+            a, t = gen_instance(InstanceSpec(dim=5, rank_a=rank_a, construction=construction, seed=seed))
+            op = make_op(a, t)
+            theta_star = radius_theta_scan(op).theta_star
+            graded = make_op(a * d[:, None] * d[None, :], t * d[None, :] / d[:, None])
+            base = witness_value(op, theta_star)
+            assert witness_value(graded, theta_star) == pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 class TestRangeCloud:
