@@ -6,7 +6,8 @@ The evaluators read the per-operator norms cached on :class:`AOperator`
 operator however many bounds use it. The commutator bounds take T's
 enclosure and scan at its grid: one unrefined radius scan of TX +- YT per
 sign (they read only upper ends). The two equality diagnostics share one
-evaluation of the phase profile.
+read of the phase profile on their grid, which reuses the angles T's scan
+has solved.
 
 Every check is emitted as a :class:`BoundReport` whose slack is oriented so
 that "holds" always means slack >= -check_rel_tol * max(|lhs|, |rhs|). Where
@@ -23,7 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionMismatchError, TolerancePolicy, as_count
-from .radius import DiskTestResult, RadiusEstimate, _disk_verdict, phase_profile, radius_theta_scan
+from .radius import (
+    DiskTestResult,
+    RadiusEstimate,
+    _disk_verdict,
+    _grid_extremes,
+    _magnitude,
+    phase_profile,  # noqa: F401  (unused here; bench/test_bench.py reads bounds.phase_profile)
+    radius_theta_scan,
+)
 from .space import AOperator, PsdContext
 
 SQRT2 = math.sqrt(2.0)
@@ -141,7 +150,7 @@ def equality_diagnostics(
     grid_n = as_count(grid_n, "grid_n")
     if grid_n < 8 or grid_n % 2:
         raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")
-    vals = phase_profile(op, np.arange(grid_n) * (math.pi / grid_n))
+    vals = _magnitude(_grid_extremes(op, grid_n))
     disk, close = _disk_verdict(op, vals), op.ctx.tol.close
     targets = (("half_norm", op.seminorm / 2.0), ("quarter_form", math.sqrt(op.form_norm / 4.0)))
     return tuple(

@@ -24,6 +24,7 @@ from .linalg import LinAlgInputError, as_count
 from .space import AOperator
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of a side, 0.381966...
+_ENDS = np.array([0, -1])  # the columns of lambda_min and lambda_max in eigvalsh's output
 
 
 class DegenerateRankError(LinAlgInputError):
@@ -76,15 +77,47 @@ def _support_pencils(op: AOperator, th: np.ndarray) -> np.ndarray:
     )
 
 
+def _profile(op: AOperator, th: np.ndarray) -> np.ndarray:
+    """f at each angle of th, from one batched eigvalsh; 0 when rank(A) = 0."""
+    return np.abs(np.linalg.eigvalsh(_support_pencils(op, th))).max(axis=-1, initial=0.0)
+
+
+def _extremes(op: AOperator, th: np.ndarray) -> np.ndarray:
+    """lambda_min and lambda_max of H(theta) for each angle of th, one row
+    per angle, from one batched eigvalsh; zero rows when rank(A) = 0."""
+    if op.ctx.rank == 0:
+        return np.zeros((th.size, 2))
+    return np.linalg.eigvalsh(_support_pencils(op, th))[:, _ENDS]
+
+
+def _magnitude(lam: np.ndarray) -> np.ndarray:
+    """f = max(|lambda_min|, |lambda_max|) = ||H(theta)|| from rows of
+    ``_extremes``."""
+    return np.abs(lam).max(axis=-1)
+
+
+def _grid_extremes(op: AOperator, grid_n: int) -> np.ndarray:
+    """The rows of ``_extremes`` on the uniform grid k pi / grid_n,
+    k = 0..grid_n-1. Angles ``op.extremes`` already holds are read from it;
+    the rest are solved in one batched eigvalsh and added to it."""
+    th = np.arange(grid_n) * (math.pi / grid_n)
+    lam = op.extremes.read(th)
+    missing = np.isnan(lam[:, 0])
+    if missing.any():
+        th = th[missing]
+        lam[missing] = solved = _extremes(op, th)
+        op.extremes.add(th, solved)
+    return lam
+
+
 def phase_profile(op: AOperator, thetas) -> np.ndarray:
     """f(theta) = ||Re_A(e^{i theta}T)||_A evaluated on an array of angles.
 
     In range(A) coordinates this is the spectral norm of the r x r Hermitian
     pencil cos(theta) H_re - sin(theta) H_im, evaluated batched; f = 0 when
-    rank(A) = 0.
+    rank(A) = 0. It always solves: only the grid reads go through the store.
     """
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return np.abs(np.linalg.eigvalsh(_support_pencils(op, th))).max(axis=-1, initial=0.0)
+    return _profile(op, np.atleast_1d(np.asarray(thetas, dtype=float)))
 
 
 def _cell_bounds(fa: np.ndarray, fb: np.ndarray, width: float) -> np.ndarray:
@@ -115,7 +148,9 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
     before last, and predicts a gain above eps f(x); otherwise the
     golden-section point of the larger side. The search stops once the
     bracket is narrower than delta / 8 and the parabola predicts a gain of
-    at most eps f(x), or once the bracket is 4e-6 delta wide.
+    at most eps f(x) or peaks within 1e-6 delta of x, or once the bracket is
+    4e-6 delta wide. A vertex that close is not worth a step: f'' >= -f for
+    a support function, so it gains at most f (1e-6 delta)^2 / 2 over x.
     """
     eps = np.finfo(float).eps
     a, b = x - delta, x + delta
@@ -131,7 +166,7 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
             gain = 0.5 * slope * t
         else:  # not concave: it peaks at an end, which is already evaluated
             t, gain = math.inf, 0.0
-        if b - a < delta / 8.0 and gain <= eps * fx:
+        if b - a < delta / 8.0 and (gain <= eps * fx or abs(t) <= 1e-6 * delta):
             break
         if da < t < db and 1e-6 * delta < abs(t) < 0.5 * moves[0] and gain > eps * fx:
             u, moves = x + t, (moves[1], abs(t))
@@ -179,8 +214,15 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     The grid maximum is a certified lower bound. Refinement, a parabolic
     search seeded by the grid argmax and its two neighbours (``_polish``,
     about five single-angle calls), can only raise it and never touches the
-    grid-based upper certificate, since pruning reads grid values only. refine=False is for callers that read
-    only ``upper``, which does not depend on it.
+    grid-based upper certificate, since pruning reads grid values only.
+
+    A refining scan reads the grid angles whose eigenvalues ``op.extremes``
+    already holds instead of solving them, and adds the ones it solved once,
+    at the end. Pruning reads only the values of the levels it has reached,
+    so the enclosure does not depend on what the store held. refine=False is
+    for callers that read only ``upper``, which does not depend on it: the
+    commutator bounds, which scan each operator they build once. Such a scan
+    solves every angle and leaves the store alone.
     """
     grid_n = as_count(grid_n, "grid_n", 4)
     delta = math.pi / grid_n
@@ -188,10 +230,28 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
         n_coarse //= 2
     step = grid_n // n_coarse
+    stored = op.extremes.read(np.arange(grid_n) * delta) if refine and op.extremes.theta.size else None
+    solved = []  # (index, rows of _extremes) of each batch a refining scan solves
+
+    def profile(index: np.ndarray) -> np.ndarray:
+        """f at the grid angles index, none of them asked for before."""
+        if not refine:
+            return _profile(op, index * delta)
+        if stored is None:
+            lam = _extremes(op, index * delta)
+            solved.append((index, lam))
+            return _magnitude(lam)
+        lam = stored[index]
+        todo = np.isnan(lam[:, 0])
+        if todo.any():
+            lam[todo] = _extremes(op, index[todo] * delta)
+            solved.append((index[todo], lam[todo]))
+        return _magnitude(lam)
+
     vals = np.full(grid_n, -np.inf)  # f at k delta; -inf where not evaluated
     left = new = np.arange(0, grid_n, step)  # left ends of the live cells
     while True:
-        vals[new] = phase_profile(op, new * delta)
+        vals[new] = profile(new)
         # f has period pi, so the last cell ends at f(0).
         bounds = _cell_bounds(vals[left], vals[(left + step) % grid_n], step * delta)
         left = left[bounds > vals.max()]
@@ -208,15 +268,20 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     # the enclosure stays valid and doubling the grid never loosens it.
     guard = grid_max * (delta / math.pi) ** 2 * 1e-3
     theta_star, best = j * delta, grid_max
-    if refine and grid_max > 0.0:
-        # Seed the polish with the grid's own neighbours of the argmax and
-        # evaluate, in one call, whichever of them pruning skipped.
-        ends = (j + np.array([-1, 1])) % grid_n
-        f_ends = vals[ends]
-        skipped = np.isneginf(f_ends)
-        if skipped.any():
-            f_ends[skipped] = phase_profile(op, ends[skipped] * delta)
-        theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
+    if refine:
+        if grid_max > 0.0:
+            # Seed the polish with the grid's own neighbours of the argmax,
+            # solving in one call whichever of them is neither evaluated nor
+            # stored.
+            ends = (j + np.array([-1, 1])) % grid_n
+            f_ends = vals[ends]
+            skipped = np.isneginf(f_ends)
+            if skipped.any():
+                f_ends[skipped] = profile(ends[skipped])
+            theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
+        if solved:
+            index, lam = (np.concatenate(part) for part in zip(*solved))
+            op.extremes.add(index * delta, lam)
     lower = max(best - guard, 0.0)
     upper = max(max(grid_max, float(bounds.max())) + guard, lower)
     return RadiusEstimate(
@@ -299,10 +364,17 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     For each direction theta_k = 2 pi k / n_theta the top eigenvector v of
     the r x r support pencil H(theta_k) realizes the boundary point v* C v
     maximizing Re(e^{i theta} z) over W_A(T). Since H(theta + pi) = -H(theta),
-    the bottom eigenvector of H(theta) serves the direction theta + pi, so one
-    batched eigensolve over the distinct angles (2 pi k / n_theta) mod pi
-    covers every direction: n_theta / 2 matrices for even n_theta, n_theta
-    for odd. Random unit vectors in range(A) supply interior points (theta
+    the bottom eigenvector of H(theta) serves the direction theta + pi, so the
+    pencils on the grid j pi / m, m = n_theta / 2 for even n_theta and
+    n_theta for odd, cover every direction. Their lambda_max and lambda_min
+    come from the grid read (``_grid_extremes``, so a scan at a grid that
+    nests with m has solved some or all of them), and each vector from two
+    steps of shifted inverse iteration (I. C. F. Ipsen, SIAM Review 39, 1997)
+    from a fixed random vector, one batched solve per step: with H - sigma I,
+    sigma = lambda_max + 4 r eps ||C|| for a top vector and
+    lambda_min - 4 r eps ||C|| for a bottom one, so that the shifted matrix
+    is definite and no solve meets a singular one. C = 0 gives zero boundary
+    points. Random unit vectors in range(A) supply interior points (theta
     recorded as nan).
     """
     n_theta = as_count(n_theta, "n_theta", 1)
@@ -312,12 +384,31 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
         raise DegenerateRankError("W_A(T) is empty when A = 0")
     c = op.compressed
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    twice = 2 * np.arange(n_theta)
-    top = twice < n_theta  # theta_k in [0, pi): top eigenvector of H(theta_k)
-    angles, pair = np.unique(twice % n_theta, return_inverse=True)
-    _, u = np.linalg.eigh(_support_pencils(op, math.pi * angles / n_theta))
-    v = np.where(top[:, None], u[pair, :, -1], u[pair, :, 0])
-    boundary = np.einsum("ki,ij,kj->k", v.conj(), c, v)
+    m = n_theta // 2 if n_theta % 2 == 0 else n_theta
+    steps = np.arange(n_theta) * (2 * m // n_theta)  # theta_k = pi steps_k / m
+    pencil = steps % m
+    top = steps < m  # theta_k in [0, pi): top eigenvector of H(theta_k)
+    norm = op.seminorm
+    if norm == 0.0:
+        boundary = np.zeros(n_theta, dtype=complex)
+    else:
+        lam = _grid_extremes(op, m)[pencil]
+        margin = 4 * ctx.rank * np.finfo(float).eps * norm
+        shift = np.where(top, lam[:, 1] + margin, lam[:, 0] - margin)
+        h = _support_pencils(op, np.arange(m) * (math.pi / m))[pencil]
+        h -= shift[:, None, None] * np.eye(ctx.rank)
+        # A fixed random start, as LAPACK's inverse iteration uses: the
+        # constant vector is orthogonal to eigenvectors such as (1, -1), the
+        # bottom one of H(0) for the 2 x 2 Jordan block.
+        start = np.random.default_rng(0).standard_normal((2, ctx.rank))
+        v = (start[0] + 1j * start[1])[None, :, None]
+        for _ in range(2):
+            # The solve scales by at most about 1 / margin, so the right-hand
+            # side times margin keeps v near unit length at every scale of C.
+            v = np.linalg.solve(h, margin * v)
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v = v[:, :, 0]
+        boundary = np.einsum("ki,ij,kj->k", v.conj(), c, v)
 
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((ctx.rank, n_theta)) + 1j * rng.standard_normal((ctx.rank, n_theta))
@@ -333,7 +424,7 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
 def disk_test(op: AOperator, n_theta: int = 360) -> DiskTestResult:
     """Constant-support-function test for W_A(T) being an origin disk."""
     n_theta = as_count(n_theta, "n_theta", 8)
-    return _disk_verdict(op, phase_profile(op, np.arange(n_theta) * (math.pi / n_theta)))
+    return _disk_verdict(op, _magnitude(_grid_extremes(op, n_theta)))
 
 
 def _disk_verdict(op: AOperator, vals: np.ndarray) -> DiskTestResult:

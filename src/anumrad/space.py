@@ -156,6 +156,41 @@ def is_adjointable(ctx: PsdContext, t) -> bool:
     return residual <= ctx.tol.check_rel_tol * ctx.lam_max * sigma_max(arr)
 
 
+# The empty store's arrays, shared and read-only (``add`` replaces them), so
+# that the many operators that never store an angle allocate nothing.
+_NO_ANGLES, _NO_ROWS = np.empty(0), np.empty((0, 2))
+_NO_ANGLES.flags.writeable = _NO_ROWS.flags.writeable = False
+
+
+class SupportExtremes:
+    """lambda_min and lambda_max of the support pencil H(theta) at the angles
+    solved so far: ``theta`` ascending and ``lam`` one (lambda_min,
+    lambda_max) row per angle, so the size follows the angles solved. An
+    angle is its float, and ``k * (pi / N)`` equals ``2k * (pi / 2N)`` bit for
+    bit, so grids that nest by powers of two share their common angles."""
+
+    __slots__ = ("theta", "lam")
+
+    def __init__(self):
+        self.theta, self.lam = _NO_ANGLES, _NO_ROWS
+
+    def read(self, th: np.ndarray) -> np.ndarray:
+        """The stored rows at the angles th; nan rows where none is stored."""
+        lam = np.full((th.size, 2), np.nan)
+        if self.theta.size:
+            pos = np.minimum(np.searchsorted(self.theta, th), self.theta.size - 1)
+            hit = self.theta[pos] == th
+            lam[hit] = self.lam[pos[hit]]
+        return lam
+
+    def add(self, th: np.ndarray, lam: np.ndarray) -> None:
+        """Store the rows lam at the angles th, none of them stored yet."""
+        if self.theta.size:
+            th, lam = np.concatenate([self.theta, th]), np.concatenate([self.lam, lam])
+        order = np.argsort(th)
+        self.theta, self.lam = th[order], lam[order]
+
+
 @dataclass(frozen=True)
 class AOperator:
     """An adjointable operator T bound to a PsdContext.
@@ -164,12 +199,17 @@ class AOperator:
     A^{1/2} T (A^{1/2})+, whose spectral norms are the A-seminorms; a product's
     is the product of the factors' (``bounds._commutator_radius``). Its parts
     ``h_re``/``h_im`` (the compressions of Re_A(T), Im_A(T)), the norms and
-    the n x n ``sharp`` = A+ T* A, ``re_a``, ``im_a`` are cached on first read.
+    the n x n ``sharp`` = A+ T* A, ``re_a``, ``im_a`` are cached on first read,
+    and ``extremes`` keeps the support-pencil eigenvalues that the grid reads
+    of ``radius`` have solved.
     """
 
     ctx: PsdContext
     t: np.ndarray
     compressed: np.ndarray = field(repr=False)
+    extremes: SupportExtremes = field(
+        default_factory=SupportExtremes, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def sharp(self) -> np.ndarray:

@@ -221,6 +221,32 @@ class TestEqualityDiagnostics:
         op, rad = prepared(np.eye(2), np.diag([1.0 + 1.0j, 0.0]))
         assert equality_diagnostics(op, rad) == equality_diagnostics(op, rad, 180)
 
+    @pytest.mark.parametrize("construction", ["random", "nilpotent_half", "shared_eigenbasis_selfadjoint"])
+    def test_scanned_operator_gives_the_fresh_diagnostics(self, construction):
+        spec = InstanceSpec(dim=6, rank_a=4, construction=construction, seed=4)
+        fresh, scanned = (make_a_operator(psd_decompose(a), t) for a, t in [gen_instance(spec)] * 2)
+        rad = radius_theta_scan(scanned)
+        for grid_n in (8, 180, 360):
+            assert equality_diagnostics(scanned, rad, grid_n) == equality_diagnostics(fresh, rad, grid_n)
+
+    def test_flat_profile_reuses_the_whole_grid(self, monkeypatch):
+        # A nilpotent T has a flat profile, so its scan solves all 720 grid
+        # angles and the 180-angle equality grid needs no eigensolve.
+        a, t = gen_instance(InstanceSpec(dim=8, rank_a=5, construction="nilpotent_half", seed=1))
+        op = make_a_operator(psd_decompose(a), t)
+        rad = radius_theta_scan(op)
+        counted = [0]
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(m, *args, **kwargs):
+            counted[0] += int(np.prod(np.shape(m)[:-2]))
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        diags = equality_diagnostics(op, rad)
+        assert counted[0] == 0
+        assert diags[0].equality_holds and diags[0].re_im_constant and diags[0].disk.is_disk
+
     def test_serialized_keys(self):
         op, rad = prepared(np.eye(2), JORDAN)
         out = to_dict(equality_half_norm(op, rad))

@@ -236,23 +236,36 @@ class TestSuite:
         assert all(ev.rad.lower <= ev.rad.upper for ev in report.evaluations)
 
     def test_equality_stage_evaluates_one_profile(self, monkeypatch):
-        # bounds.phase_profile is read only by the equality diagnostics; the
-        # radius scans call radius.phase_profile.
-        calls = []
-        profile = bounds.phase_profile
+        # The equality stage reads one 180-angle profile through the grid
+        # read, which takes at least the 45 angles of the scan's coarse level
+        # from the store and solves only the angles the store lacks.
+        solved = [0]
+        eigvalsh = np.linalg.eigvalsh
 
-        def recording(op, thetas):
-            calls.append(int(np.size(thetas)))
-            return profile(op, thetas)
+        def counting(a, *args, **kwargs):
+            solved[0] += int(np.prod(np.shape(a)[:-2]))
+            return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(bounds, "phase_profile", recording)
+        reads = []
+        grid_extremes = bounds._grid_extremes
+
+        def recording(op, grid_n):
+            held = int(np.isin(np.arange(grid_n) * (np.pi / grid_n), op.extremes.theta).sum())
+            before = solved[0]
+            lam = grid_extremes(op, grid_n)
+            reads.append((grid_n, held, solved[0] - before))
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(bounds, "_grid_extremes", recording)
         config = SuiteConfig(n_instances=7, seed=42)
         assert [s.dim for s in config.instance_specs()] == list(range(2, 9))
         for i, spec in enumerate(config.instance_specs()):
-            calls.clear()
+            reads.clear()
             ev = evaluate_instance(spec, config, index=i)
             assert ev.adjointable
-            assert calls == [180]
+            [(grid_n, held, new)] = reads
+            assert grid_n == 180 and held >= 45 and new == grid_n - held
 
     def test_probe_instances_recorded_not_flagged(self):
         spec = InstanceSpec(dim=3, rank_a=1, construction="nonadjointable_probe", seed=2)

@@ -262,6 +262,21 @@ def test_refinement_call_budget(monkeypatch, grid_n):
             assert sum(added) <= (12 if grid_n >= 181 else 42)
 
 
+def test_polish_stops_at_a_vertex_on_the_best_point(monkeypatch):
+    # At grid 8 the parabola's vertex can sit within 1e-6 delta of the best
+    # point while it still predicts a gain above eps f; the polish stops
+    # there instead of taking golden steps down to the 4e-6 delta floor
+    # (21, 21, 17, 7, 4, 21, 15, 21, 21, 21 single-angle calls before).
+    calls = record_profile_calls(monkeypatch)
+    steps = []
+    for seed in range(10):
+        op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=5, construction="random", seed=seed)))
+        calls.clear()
+        radius_theta_scan(op, 8)
+        steps.append(calls.count(1))
+    assert steps == [7, 9, 6, 7, 4, 9, 3, 9, 9, 6]
+
+
 @pytest.mark.parametrize("construction", ADJOINTABLE)
 @pytest.mark.parametrize("rank_a", [5, 3])
 @pytest.mark.parametrize("grid_n", [8, 64, 181, 720, 1440])
@@ -594,6 +609,32 @@ class TestRangeCloud:
         with pytest.raises(DegenerateRankError):
             range_cloud(make_op(np.zeros((2, 2)), JORDAN))
 
+    @pytest.mark.parametrize("n_theta", [1, 2, 90])
+    def test_zero_operator_gives_zero_boundary(self, n_theta):
+        # C = 0 at rank(A) > 0: no shift can make H - sigma I definite, so no
+        # solve is made (a warning would fail the test).
+        cloud = range_cloud(make_op(np.diag([1.0, 2.0, 0.0]), np.zeros((3, 3))), n_theta, seed=0)
+        assert np.array_equal(cloud.points, np.zeros(2 * n_theta))
+
+    @pytest.mark.parametrize("t", [JORDAN, np.array([[0.0, 1.0], [1.0, 0.0]])])
+    @pytest.mark.parametrize("n_theta", [1, 2, 8, 90])
+    def test_start_vector_orthogonal_to_constant(self, t, n_theta):
+        # The bottom eigenvector of H(0) is (1, -1) / sqrt 2 for both, which
+        # the constant start vector cannot reach in two steps.
+        op = make_op(np.eye(2), t)
+        cloud = range_cloud(op, n_theta, seed=0)
+        thetas, points = cloud.thetas[:n_theta], cloud.points[:n_theta]
+        support = (np.exp(1j * thetas) * points).real
+        assert np.abs(support - support_spectra(op, thetas)[:, -1]).max() <= 1e-14
+
+    @pytest.mark.parametrize("scale", [2.0**-499, 2.0**498])
+    def test_extreme_scales(self, scale):
+        # The inverse-iteration shift is 4 r eps ||C|| wide at every
+        # certified scale of C, and v stays near unit length.
+        op = make_op(np.eye(2), scale * JORDAN)
+        boundary = range_cloud(op, 90, seed=0).points[:90]
+        assert np.abs(np.abs(boundary) / scale - 0.5).max() <= 1e-14
+
     @pytest.mark.parametrize("n_theta", [2.5, 4.0, True, "8", None])
     def test_rejects_non_integer_count_before_solving(self, monkeypatch, n_theta):
         op = make_op(np.eye(2), JORDAN)
@@ -631,10 +672,14 @@ class TestRangeCloud:
 
     @pytest.mark.parametrize("n_theta, solved", [(1, 1), (2, 1), (3, 3), (37, 37), (90, 45), (360, 180)])
     def test_one_eigensolve_per_antipodal_pair(self, monkeypatch, n_theta, solved):
+        # On a fresh operator: one eigvalsh per pencil, and the vectors come
+        # from inverse iteration, not from eigh.
         op = make_op(*gen_instance(InstanceSpec(dim=6, rank_a=4, construction="random", seed=2)))
-        counted = count_mats(monkeypatch, "eigh")
+        counted = count_mats(monkeypatch, "eigvalsh")
+        vectors = count_mats(monkeypatch, "eigh")
         range_cloud(op, n_theta, seed=0)
         assert counted[0] == solved
+        assert vectors[0] == 0
 
     @pytest.mark.parametrize("construction", ADJOINTABLE)
     @pytest.mark.parametrize("n_theta", [1, 2, 3, 37, 90, 360])
@@ -653,6 +698,69 @@ class TestRangeCloud:
             simple = spectra[:, -1] - spectra[:, -2] > 1e-3 * op.seminorm
             moved = np.abs(cloud.points[:n_theta] - boundary)[simple]
             assert moved.max(initial=0.0) <= 1e-13 * op.seminorm
+
+
+class TestSupportStore:
+    """Grid reads reuse the support-pencil eigenvalues an operator has
+    solved, with outputs bit-identical to a fresh operator's."""
+
+    @staticmethod
+    def fresh_and_scanned(construction, grid_n=720):
+        spec = InstanceSpec(dim=6, rank_a=4, construction=construction, seed=4)
+        fresh, scanned = (make_op(*gen_instance(spec)) for _ in range(2))
+        radius_theta_scan(scanned, grid_n)
+        return fresh, scanned
+
+    @pytest.mark.parametrize("construction", ADJOINTABLE)
+    @pytest.mark.parametrize("grid_n", [720, 90, 181])
+    def test_disk_and_cloud_as_on_a_fresh_operator(self, construction, grid_n):
+        fresh, scanned = self.fresh_and_scanned(construction, grid_n)
+        for n_theta in (8, 180, 360):
+            assert disk_test(scanned, n_theta) == disk_test(fresh, n_theta)
+        for n_theta in (1, 37, 90, 360):
+            a, b = range_cloud(scanned, n_theta, seed=1), range_cloud(fresh, n_theta, seed=1)
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.thetas, b.thetas, equal_nan=True)
+
+    def test_flat_profile_scan_leaves_nothing_to_solve(self, monkeypatch):
+        _, op = self.fresh_and_scanned("nilpotent_half")
+        counted, vectors = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigh")
+        range_cloud(op, 360, seed=0)
+        disk_test(op, 180)
+        assert counted[0] == 0 and vectors[0] == 0
+
+    @pytest.mark.parametrize("grid_n", [720, 1440, 2880])
+    def test_size_follows_the_angles_solved(self, monkeypatch, grid_n):
+        # The store holds one angle per grid angle the scan solved, far
+        # fewer than grid_n on a random operator; the polish's off-grid
+        # angles are not stored, and a scan that does not refine stores none.
+        rng = np.random.default_rng(5)
+        op = make_op(np.eye(8), rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        radius_theta_scan(op, grid_n, refine=False)
+        assert op.extremes.theta.size == 0
+        calls = record_profile_calls(monkeypatch)
+        counted = count_mats(monkeypatch, "eigvalsh")
+        radius_theta_scan(op, grid_n)
+        store = op.extremes
+        assert store.theta.size == counted[0] - sum(calls) < grid_n / 8
+        assert store.lam.shape == (store.theta.size, 2)
+        assert np.all(np.diff(store.theta) > 0.0)
+
+    @pytest.mark.parametrize("construction", ADJOINTABLE)
+    @pytest.mark.parametrize("disk_grid", [None, 720])
+    def test_scan_reads_the_store_without_changing_its_enclosure(self, monkeypatch, construction, disk_grid):
+        # Whether the store holds the angles of a grid-90 scan or, after a
+        # disk test, every angle of the grid, a scan returns the fresh
+        # enclosure; in the second case it solves only the polish's angles.
+        fresh, op = self.fresh_and_scanned(construction, 90)
+        expected = radius_theta_scan(fresh, 720)
+        if disk_grid:
+            disk_test(op, disk_grid)
+        calls = record_profile_calls(monkeypatch)
+        counted = count_mats(monkeypatch, "eigvalsh")
+        assert radius_theta_scan(op, 720) == expected
+        assert counted[0] == sum(calls) if disk_grid else counted[0] > sum(calls)
+        assert calls.count(1) == len(calls)
 
 
 class TestDiskTest:
