@@ -77,14 +77,10 @@ def _support_pencils(op: AOperator, th: np.ndarray) -> np.ndarray:
     )
 
 
-def _profile(op: AOperator, th: np.ndarray) -> np.ndarray:
-    """f at each angle of th, from one batched eigvalsh; 0 when rank(A) = 0."""
-    return np.abs(np.linalg.eigvalsh(_support_pencils(op, th))).max(axis=-1, initial=0.0)
-
-
 def _extremes(op: AOperator, th: np.ndarray) -> np.ndarray:
     """lambda_min and lambda_max of H(theta) for each angle of th, one row
-    per angle, from one batched eigvalsh; zero rows when rank(A) = 0."""
+    per angle, from one batched eigvalsh; zero rows when rank(A) = 0. Every
+    eigensolve of f goes through here."""
     if op.ctx.rank == 0:
         return np.zeros((th.size, 2))
     return np.linalg.eigvalsh(_support_pencils(op, th))[:, _ENDS]
@@ -117,7 +113,7 @@ def phase_profile(op: AOperator, thetas) -> np.ndarray:
     pencil cos(theta) H_re - sin(theta) H_im, evaluated batched; f = 0 when
     rank(A) = 0. It always solves: only the grid reads go through the store.
     """
-    return _profile(op, np.atleast_1d(np.asarray(thetas, dtype=float)))
+    return _magnitude(_extremes(op, np.atleast_1d(np.asarray(thetas, dtype=float))))
 
 
 def _cell_bounds(fa: np.ndarray, fb: np.ndarray, width: float) -> np.ndarray:
@@ -216,13 +212,12 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     about five single-angle calls), can only raise it and never touches the
     grid-based upper certificate, since pruning reads grid values only.
 
-    A refining scan reads the grid angles whose eigenvalues ``op.extremes``
-    already holds instead of solving them, and adds the ones it solved once,
-    at the end. Pruning reads only the values of the levels it has reached,
-    so the enclosure does not depend on what the store held. refine=False is
-    for callers that read only ``upper``, which does not depend on it: the
-    commutator bounds, which scan each operator they build once. Such a scan
-    solves every angle and leaves the store alone.
+    A refining scan adds the grid angles it solved to ``op.extremes`` once,
+    at the end; it never reads them, so the enclosure does not depend on
+    what the store held. refine=False is for callers that read only
+    ``upper``, which does not depend on it: the commutator bounds, which
+    scan each operator they build once and never read it again. Such a
+    scan leaves the store alone.
     """
     grid_n = as_count(grid_n, "grid_n", 4)
     delta = math.pi / grid_n
@@ -230,22 +225,13 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
         n_coarse //= 2
     step = grid_n // n_coarse
-    stored = op.extremes.read(np.arange(grid_n) * delta) if refine and op.extremes.theta.size else None
     solved = []  # (index, rows of _extremes) of each batch a refining scan solves
 
     def profile(index: np.ndarray) -> np.ndarray:
         """f at the grid angles index, none of them asked for before."""
-        if not refine:
-            return _profile(op, index * delta)
-        if stored is None:
-            lam = _extremes(op, index * delta)
+        lam = _extremes(op, index * delta)
+        if refine:
             solved.append((index, lam))
-            return _magnitude(lam)
-        lam = stored[index]
-        todo = np.isnan(lam[:, 0])
-        if todo.any():
-            lam[todo] = _extremes(op, index[todo] * delta)
-            solved.append((index[todo], lam[todo]))
         return _magnitude(lam)
 
     vals = np.full(grid_n, -np.inf)  # f at k delta; -inf where not evaluated
@@ -271,17 +257,15 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     if refine:
         if grid_max > 0.0:
             # Seed the polish with the grid's own neighbours of the argmax,
-            # solving in one call whichever of them is neither evaluated nor
-            # stored.
+            # solving in one call whichever of them pruning skipped.
             ends = (j + np.array([-1, 1])) % grid_n
             f_ends = vals[ends]
             skipped = np.isneginf(f_ends)
             if skipped.any():
                 f_ends[skipped] = profile(ends[skipped])
             theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
-        if solved:
-            index, lam = (np.concatenate(part) for part in zip(*solved))
-            op.extremes.add(index * delta, lam)
+        index, lam = (np.concatenate(part) for part in zip(*solved))
+        op.extremes.add(index * delta, lam)
     lower = max(best - guard, 0.0)
     upper = max(max(grid_max, float(bounds.max())) + guard, lower)
     return RadiusEstimate(

@@ -184,11 +184,12 @@ class SupportExtremes:
         return lam
 
     def add(self, th: np.ndarray, lam: np.ndarray) -> None:
-        """Store the rows lam at the angles th, none of them stored yet."""
+        """Store the rows lam at the angles th; an angle already stored keeps
+        its row, which is the same float."""
         if self.theta.size:
             th, lam = np.concatenate([self.theta, th]), np.concatenate([self.lam, lam])
-        order = np.argsort(th)
-        self.theta, self.lam = th[order], lam[order]
+        self.theta, first = np.unique(th, return_index=True)
+        self.lam = lam[first]
 
 
 @dataclass(frozen=True)
