@@ -6,8 +6,9 @@ The evaluators read the per-operator norms cached on :class:`AOperator`
 operator however many bounds use it. The commutator bounds take T's
 enclosure and scan at its grid: one unrefined radius scan of TX +- YT per
 sign (they read only upper ends). The two equality diagnostics share one
-read of the phase profile on their grid, which reuses the angles T's scan
-has solved.
+read of the phase profile on their grid, which takes every 2^p-th row of a
+grid T's scan stored when it solved all of its angles (a flat profile), and
+otherwise solves the whole grid once.
 
 Every check is emitted as a :class:`BoundReport` whose slack is oriented so
 that "holds" always means slack >= -check_rel_tol * max(|lhs|, |rhs|). Where

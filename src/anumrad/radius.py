@@ -60,8 +60,15 @@ class RangeCloud:
 
 @dataclass(frozen=True)
 class DiskTestResult:
-    """Verdict of the constant-support-function test: f(theta) = k for all
-    theta iff W_A(T) is the origin-centered disk of radius k."""
+    """Verdict of the constant-profile test on a sampled grid.
+
+    is_disk says that f, sampled at the n_theta angles k pi / n_theta,
+    agrees with its mean radius_k within equality_rel_tol. That is necessary
+    for W = W_A(T) to be the origin disk of radius k, not sufficient: f is
+    the support function of conv(W u -W), so a constant f means only that
+    conv(W u -W) is that disk, and between the samples f may vary (a regular
+    polygon with a vertex at each grid angle passes).
+    """
 
     is_disk: bool
     radius_k: float
@@ -94,15 +101,16 @@ def _magnitude(lam: np.ndarray) -> np.ndarray:
 
 def _grid_extremes(op: AOperator, grid_n: int) -> np.ndarray:
     """The rows of ``_extremes`` on the uniform grid k pi / grid_n,
-    k = 0..grid_n-1. Angles ``op.extremes`` already holds are read from it;
-    the rest are solved in one batched eigvalsh and added to it."""
-    th = np.arange(grid_n) * (math.pi / grid_n)
-    lam = op.extremes.read(th)
-    missing = np.isnan(lam[:, 0])
-    if missing.any():
-        th = th[missing]
-        lam[missing] = solved = _extremes(op, th)
-        op.extremes.add(th, solved)
+    k = 0..grid_n-1. ``op.extremes`` maps a grid size to such rows. A stored
+    grid of size grid_n 2^p gives them as every 2^p-th row and solves
+    nothing, since k (pi / grid_n) equals (k 2^p) (pi / (grid_n 2^p)) bit for
+    bit; otherwise all grid_n angles are solved in one batched eigvalsh and
+    stored under grid_n."""
+    for size, lam in op.extremes.items():
+        step, rest = divmod(size, grid_n)
+        if rest == 0 and step & (step - 1) == 0:
+            return lam[::step]
+    lam = op.extremes[grid_n] = _extremes(op, np.arange(grid_n) * (math.pi / grid_n))
     return lam
 
 
@@ -111,9 +119,15 @@ def phase_profile(op: AOperator, thetas) -> np.ndarray:
 
     In range(A) coordinates this is the spectral norm of the r x r Hermitian
     pencil cos(theta) H_re - sin(theta) H_im, evaluated batched; f = 0 when
-    rank(A) = 0. It always solves: only the grid reads go through the store.
+    rank(A) = 0. thetas is 0-d or 1-d and finite, else LinAlgInputError. It
+    always solves: only the grid reads go through the store.
     """
-    return _magnitude(_extremes(op, np.atleast_1d(np.asarray(thetas, dtype=float))))
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if th.ndim != 1:
+        raise LinAlgInputError(f"expected a 0-d or 1-d array of angles, got shape {th.shape}")
+    if not np.isfinite(th).all():
+        raise LinAlgInputError("angles must be finite")
+    return _magnitude(_extremes(op, th))
 
 
 def _cell_bounds(fa: np.ndarray, fb: np.ndarray, width: float) -> np.ndarray:
@@ -169,7 +183,7 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
         else:
             side = db if db > -da else da
             u, moves = x + _GOLDEN * side, (moves[1], abs(side))
-        fu = float(phase_profile(op, [u])[0])
+        fu = float(_magnitude(_extremes(op, np.array([u])))[0])
         if fu > best:
             theta_star, best = u, fu
         if fu > fx:  # u is the new best point; x becomes an end
@@ -212,12 +226,14 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     about five single-angle calls), can only raise it and never touches the
     grid-based upper certificate, since pruning reads grid values only.
 
-    A refining scan adds the grid angles it solved to ``op.extremes`` once,
-    at the end; it never reads them, so the enclosure does not depend on
-    what the store held. refine=False is for callers that read only
-    ``upper``, which does not depend on it: the commutator bounds, which
-    scan each operator they build once and never read it again. Such a
-    scan leaves the store alone.
+    A refining scan that evaluated every grid angle, as on a flat profile,
+    stores its rows of ``_extremes`` in ``op.extremes`` under grid_n, where
+    the grid reads of ``bounds`` and ``range_cloud`` find them; one that
+    pruned stores nothing. It never reads the store, so the enclosure does
+    not depend on what the store held. refine=False is for callers that read
+    only ``upper``, which does not depend on it: the commutator bounds, which
+    scan each operator they build once and never read it again. Such a scan
+    leaves the store alone.
     """
     grid_n = as_count(grid_n, "grid_n", 4)
     delta = math.pi / grid_n
@@ -225,13 +241,13 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
         n_coarse //= 2
     step = grid_n // n_coarse
-    solved = []  # (index, rows of _extremes) of each batch a refining scan solves
+    rows = np.empty((grid_n, 2)) if refine else None  # a refining scan's rows of _extremes
 
     def profile(index: np.ndarray) -> np.ndarray:
         """f at the grid angles index, none of them asked for before."""
         lam = _extremes(op, index * delta)
         if refine:
-            solved.append((index, lam))
+            rows[index] = lam
         return _magnitude(lam)
 
     vals = np.full(grid_n, -np.inf)  # f at k delta; -inf where not evaluated
@@ -264,8 +280,8 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
             if skipped.any():
                 f_ends[skipped] = profile(ends[skipped])
             theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
-        index, lam = (np.concatenate(part) for part in zip(*solved))
-        op.extremes.add(index * delta, lam)
+        if vals.min() > -np.inf:  # nothing pruned: every row is solved
+            op.extremes[grid_n] = rows
     lower = max(best - guard, 0.0)
     upper = max(max(grid_max, float(bounds.max())) + guard, lower)
     return RadiusEstimate(
@@ -285,12 +301,16 @@ def witness_value(op: AOperator, theta: float) -> float:
     A^{1/2} x = Q v. The value is computed from the n x n A and T, never
     from the compression, so it checks the enclosure against the raw
     operator: it is at least f(theta) and at most w_A(T), up to rounding.
-    Returns 0 for rank(A) = 0.
+    Returns 0 for rank(A) = 0. A theta that is not one finite angle raises
+    LinAlgInputError.
     """
+    th = np.asarray(theta, dtype=float)
+    if th.ndim != 0 or not np.isfinite(th):
+        raise LinAlgInputError(f"theta must be one finite angle, got {theta!r}")
     ctx = op.ctx
     if ctx.rank == 0:
         return 0.0
-    lam, vecs = np.linalg.eigh(_support_pencils(op, np.array([float(theta)]))[0])
+    lam, vecs = np.linalg.eigh(_support_pencils(op, th[None])[0])
     v = vecs[:, np.argmax(np.abs(lam))]
     x = ctx.range_basis @ (v / ctx.root)
     ax = ctx.a @ x
@@ -351,10 +371,10 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     the bottom eigenvector of H(theta) serves the direction theta + pi, so the
     pencils on the grid j pi / m, m = n_theta / 2 for even n_theta and
     n_theta for odd, cover every direction. Their lambda_max and lambda_min
-    come from the grid read (``_grid_extremes``, so a scan at a grid that
-    nests with m has solved some or all of them), and each vector from two
-    steps of shifted inverse iteration (I. C. F. Ipsen, SIAM Review 39, 1997)
-    from a fixed random vector, one batched solve per step: with H - sigma I,
+    come from the grid read (``_grid_extremes``: none is solved when a grid
+    of size m 2^p is stored, as after a scan of a flat profile), and each
+    vector from two steps of shifted inverse iteration (I. C. F. Ipsen, SIAM
+    Review 39, 1997) from a fixed random vector, one batched solve per step: with H - sigma I,
     sigma = lambda_max + 4 r eps ||C|| for a top vector and
     lambda_min - 4 r eps ||C|| for a bottom one, so that the shifted matrix
     is definite and no solve meets a singular one. C = 0 gives zero boundary
@@ -406,7 +426,13 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
 
 
 def disk_test(op: AOperator, n_theta: int = 360) -> DiskTestResult:
-    """Constant-support-function test for W_A(T) being an origin disk."""
+    """Whether f is constant at its n_theta grid angles k pi / n_theta.
+
+    f is the support function of conv(W u -W), not of W = W_A(T), and is
+    read only at the grid angles, so a True verdict is evidence for W being
+    an origin disk, not a proof: at A = I, T = diag(e^{i pi j / 8}),
+    j = 0..15 (W a regular 16-gon) passes at n_theta = 8 and fails at 360.
+    """
     n_theta = as_count(n_theta, "n_theta", 8)
     return _disk_verdict(op, _magnitude(_grid_extremes(op, n_theta)))
 

@@ -236,9 +236,8 @@ class TestSuite:
         assert all(ev.rad.lower <= ev.rad.upper for ev in report.evaluations)
 
     def test_equality_stage_evaluates_one_profile(self, monkeypatch):
-        # The equality stage reads one 180-angle profile through the grid
-        # read, which takes at least the 45 angles of the scan's coarse level
-        # from the store and solves only the angles the store lacks.
+        # The equality stage makes one 180-angle grid read. No seed-42 scan
+        # is flat, so none stores its grid and the read solves all 180.
         solved = [0]
         eigvalsh = np.linalg.eigvalsh
 
@@ -250,10 +249,9 @@ class TestSuite:
         grid_extremes = bounds._grid_extremes
 
         def recording(op, grid_n):
-            held = int(np.isin(np.arange(grid_n) * (np.pi / grid_n), op.extremes.theta).sum())
             before = solved[0]
             lam = grid_extremes(op, grid_n)
-            reads.append((grid_n, held, solved[0] - before))
+            reads.append((grid_n, solved[0] - before))
             return lam
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -264,8 +262,7 @@ class TestSuite:
             reads.clear()
             ev = evaluate_instance(spec, config, index=i)
             assert ev.adjointable
-            [(grid_n, held, new)] = reads
-            assert grid_n == 180 and held >= 45 and new == grid_n - held
+            assert reads == [(180, 180)]
 
     def test_probe_instances_recorded_not_flagged(self):
         spec = InstanceSpec(dim=3, rank_a=1, construction="nonadjointable_probe", seed=2)

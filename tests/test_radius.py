@@ -6,7 +6,9 @@ import pytest
 from anumrad import (
     DegenerateRankError,
     InstanceSpec,
+    LinAlgInputError,
     disk_test,
+    equality_diagnostics,
     gen_instance,
     make_a_operator,
     phase_profile,
@@ -20,6 +22,7 @@ from anumrad import radius
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 ADJOINTABLE = ("random", "nilpotent_half", "shared_eigenbasis_selfadjoint")
+BAD_ANGLES = [np.nan, np.inf, -np.inf, [0.1, np.nan], [[0.1]], [[0.1, 0.2]]]
 BAD_SEEDS = [(None, TypeError), (True, TypeError), (1.5, TypeError), ("3", TypeError), (-1, ValueError)]
 
 
@@ -437,6 +440,22 @@ class TestPhaseProfile:
             im_vals = phase_profile(op, th - math.pi / 2.0)
             assert np.allclose(im_vals, np.roll(re_vals, n // 2), rtol=0.0, atol=1e-12)
 
+    def test_accepts_scalar_and_vector(self):
+        op = make_op(np.diag([2.0, 1.0]), JORDAN)
+        assert phase_profile(op, 0.3).shape == (1,)
+        assert np.array_equal(phase_profile(op, 0.3), phase_profile(op, [0.3]))
+
+    @pytest.mark.parametrize("thetas", BAD_ANGLES)
+    @pytest.mark.parametrize("rank_a", [2, 3, 5, 8])
+    def test_rejects_bad_angles_before_solving(self, monkeypatch, thetas, rank_a):
+        # Once nan reached eigvalsh: silently at rank 2, as LinAlgError at
+        # ranks 3, 5 and 8; a 2-d input failed in a broadcast.
+        op = make_op(*gen_instance(InstanceSpec(dim=8, rank_a=rank_a, construction="random", seed=1)))
+        counted, vectors = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigh")
+        with pytest.raises(LinAlgInputError):
+            phase_profile(op, thetas)
+        assert counted[0] == 0 and vectors[0] == 0
+
 
 class TestSampling:
     def test_identity_operator(self):
@@ -550,6 +569,16 @@ class TestWitness:
     def test_rank_zero_and_zero_operator(self):
         assert witness_value(make_op(np.zeros((2, 2)), JORDAN), 0.3) == 0.0
         assert witness_value(make_op(np.eye(3), np.zeros((3, 3))), 0.3) == 0.0
+
+    @pytest.mark.parametrize("theta", BAD_ANGLES)
+    @pytest.mark.parametrize("rank_a", [0, 2, 3, 5, 8])
+    def test_rejects_bad_angle_before_solving(self, monkeypatch, theta, rank_a):
+        a, t = gen_instance(InstanceSpec(dim=8, rank_a=max(rank_a, 1), construction="random", seed=1))
+        op = make_op(a if rank_a else np.zeros((8, 8)), t)
+        counted, vectors = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigh")
+        with pytest.raises(LinAlgInputError):
+            witness_value(op, theta)
+        assert counted[0] == 0 and vectors[0] == 0
 
     def test_eigenvalue_of_largest_modulus(self):
         # f(0) = 2 is attained at lambda_min = -2 of H(0) = T.
@@ -732,28 +761,56 @@ class TestSupportStore:
         assert counted[0] == 0 and vectors[0] == 0
 
     @pytest.mark.parametrize("grid_n", [720, 1440, 2880])
-    def test_size_follows_the_angles_solved(self, monkeypatch, grid_n):
-        # The store holds the grid angles the scan solved: its grid batches,
-        # which an unrefined scan also makes, and at most two neighbours of
-        # the argmax, far fewer than grid_n on a random operator. The
-        # polish's off-grid angles are not stored, a scan that does not
-        # refine stores none, and a second scan adds nothing.
+    def test_size_follows_the_angles_solved(self, grid_n):
+        # The store holds whole grids only. A scan that pruned, as on a
+        # random operator, stores nothing, and one that does not refine
+        # stores nothing either. A flat profile's scan evaluates every grid
+        # angle and stores exactly its grid, bit-identical to a grid solve;
+        # a second scan changes nothing.
         rng = np.random.default_rng(5)
         op = make_op(np.eye(8), rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        calls = record_profile_calls(monkeypatch)
         radius_theta_scan(op, grid_n, refine=False)
-        assert op.extremes.theta.size == 0
-        grid_solved = sum(calls)
         radius_theta_scan(op, grid_n)
-        store = op.extremes
-        assert grid_solved <= store.theta.size <= grid_solved + 2
-        assert store.theta.size < grid_n / 8
-        assert np.isin(store.theta, np.arange(grid_n) * (math.pi / grid_n)).all()
-        assert store.lam.shape == (store.theta.size, 2)
-        assert np.all(np.diff(store.theta) > 0.0)
-        theta, lam = store.theta, store.lam
-        radius_theta_scan(op, grid_n)
-        assert np.array_equal(store.theta, theta) and np.array_equal(store.lam, lam)
+        assert op.extremes == {}
+        _, flat = self.fresh_and_scanned("nilpotent_half", grid_n)
+        assert list(flat.extremes) == [grid_n]
+        rows = flat.extremes[grid_n]
+        assert np.array_equal(rows, radius._extremes(flat, np.arange(grid_n) * (math.pi / grid_n)))
+        radius_theta_scan(flat, grid_n)
+        assert list(flat.extremes) == [grid_n] and np.array_equal(flat.extremes[grid_n], rows)
+
+    def test_flat_profile_scan_leaves_equality_disk_and_cloud_nothing_to_solve(self, monkeypatch):
+        op = make_op(*gen_instance(InstanceSpec(dim=6, rank_a=4, construction="nilpotent_half", seed=4)))
+        rad = radius_theta_scan(op)
+        counted, vectors = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigh")
+        equality_diagnostics(op, rad)
+        disk_test(op, 360)
+        range_cloud(op, 360, seed=0)
+        assert counted[0] == 0 and vectors[0] == 0
+
+    @pytest.mark.parametrize("construction", ADJOINTABLE)
+    def test_nested_reads_solve_nothing(self, monkeypatch, construction):
+        # A stored 720 grid serves every 720 / 2^p grid, bit for bit as a
+        # fresh operator solves it.
+        spec = InstanceSpec(dim=6, rank_a=4, construction=construction, seed=4)
+        fresh, op = (make_op(*gen_instance(spec)) for _ in range(2))
+        radius._grid_extremes(op, 720)
+        counted = count_mats(monkeypatch, "eigvalsh")
+        reads = {n: radius._grid_extremes(op, n) for n in (360, 180, 90, 45)}
+        assert counted[0] == 0
+        for n, lam in reads.items():
+            assert np.array_equal(lam, radius._grid_extremes(fresh, n))
+        assert list(op.extremes) == [720]
+
+    @pytest.mark.parametrize("grid_n", [8, 181, 240])
+    def test_other_sizes_solve_their_grid_once(self, monkeypatch, grid_n):
+        _, op = self.fresh_and_scanned("nilpotent_half")
+        counted = count_mats(monkeypatch, "eigvalsh")
+        first = radius._grid_extremes(op, grid_n)
+        assert counted[0] == grid_n
+        assert np.array_equal(radius._grid_extremes(op, grid_n), first)
+        assert counted[0] == grid_n
+        assert sorted(op.extremes) == sorted({720, grid_n})
 
 
 class TestDiskTest:
