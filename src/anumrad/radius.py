@@ -374,8 +374,8 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     come from the grid read (``_grid_extremes``: none is solved when a grid
     of size m 2^p is stored, as after a scan of a flat profile), and each
     vector from two steps of shifted inverse iteration (I. C. F. Ipsen, SIAM
-    Review 39, 1997) from a fixed random vector, one batched solve per step: with H - sigma I,
-    sigma = lambda_max + 4 r eps ||C|| for a top vector and
+    Review 39, 1997) from a fixed random vector, one batched solve per step:
+    with H - sigma I, sigma = lambda_max + 4 r eps ||C|| for a top vector and
     lambda_min - 4 r eps ||C|| for a bottom one, so that the shifted matrix
     is definite and no solve meets a singular one. C = 0 gives zero boundary
     points. Random unit vectors in range(A) supply interior points (theta
