@@ -4,11 +4,14 @@ characterizations, and commutator upper bounds.
 The evaluators read the per-operator norms cached on :class:`AOperator`
 (``seminorm``, ``part_norms``, ``form_norm``), so each is computed once per
 operator however many bounds use it. The commutator bounds take T's
-enclosure and scan at its grid: one unrefined radius scan of TX +- YT per
-sign (they read only upper ends). The two equality diagnostics share one
-read of the phase profile on their grid, which takes every 2^p-th row of a
-grid T's scan stored when it solved all of its angles (a flat profile), and
-otherwise solves the whole grid once.
+enclosure and its grid. The radius of each product M = TX +- YT is first
+bounded by w_A(M) <= ||M||_A, sigma_max of its compression. M gets an
+unrefined radius scan at T's grid (they read only upper ends) only when
+that norm cannot show each bound it meets to hold and not be tight. The
+two equality diagnostics share one read of the phase profile on their grid,
+made only when one of their targets can be attained; it takes every 2^p-th
+row of a grid T's scan stored when it solved all of its angles (a flat
+profile), and otherwise solves the whole grid once.
 
 Every check is emitted as a :class:`BoundReport` whose slack is oriented so
 that "holds" always means slack >= -check_rel_tol * max(|lhs|, |rhs|). Where
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, TolerancePolicy, as_count
+from .linalg import DimensionMismatchError, TolerancePolicy, as_count, sigma_max
 from .radius import (
     DiskTestResult,
     RadiusEstimate,
@@ -65,19 +68,26 @@ class BoundReport:
 class EqualityDiagnostic:
     """Necessity checks attached to an equality characterization: when the
     equality holds, the Re/Im profile must be constant at the target and
-    W_A(T) must be the origin disk of that radius."""
+    W_A(T) must be the origin disk of that radius.
+
+    re_im_constant and disk are None (JSON null, "not evaluated") when
+    neither target of ``equality_diagnostics`` can be attained, so that no
+    profile was read; ``disk_test`` still gives the disk verdict then."""
 
     case_id: str
     equality_holds: bool
-    re_im_constant: bool
-    disk: DiskTestResult
+    re_im_constant: bool | None
+    disk: DiskTestResult | None
     target: float
 
 
 @dataclass(frozen=True)
 class CommutatorComparison:
     """Both refined commutator bounds next to the 2*sqrt(2)*min of norm-radius
-    products they improve on, plus the measured radii of TS +- ST."""
+    products they improve on, plus upper ends w_plus and w_minus of the radii
+    of TS + ST and TS - ST (see ``_commutator_radius``): ||M||_A where that
+    alone shows w_A(M) below min(refined31, refined32), not close to it, and
+    otherwise the grid-certified upper end of the scan."""
 
     alpha1: float
     alpha2: float
@@ -147,16 +157,24 @@ def equality_diagnostics(
     each forces the Re and Im profiles to sit at its target for every theta and
     W_A(T) to be the origin disk of that radius. On an even grid the Im profile
     is the Re profile rolled by grid_n/2, so one profile and one disk verdict
-    serve all checks."""
+    serve all checks. The profile is read only when some target k can be
+    attained: its equality holds, or k lies in [rad.lower, rad.upper].
+    Otherwise both diagnostics carry re_im_constant = disk = None."""
     grid_n = as_count(grid_n, "grid_n")
     if grid_n < 8 or grid_n % 2:
         raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")
+    close = op.ctx.tol.close
+    targets = [
+        (case_id, bool(close(rad.lower, k)), k)
+        for case_id, k in (("half_norm", op.seminorm / 2.0), ("quarter_form", math.sqrt(op.form_norm / 4.0)))
+    ]
+    if not any(holds or rad.lower <= k <= rad.upper for _, holds, k in targets):
+        return tuple(EqualityDiagnostic(case_id, holds, None, None, k) for case_id, holds, k in targets)
     vals = _magnitude(_grid_extremes(op, grid_n))
-    disk, close = _disk_verdict(op, vals), op.ctx.tol.close
-    targets = (("half_norm", op.seminorm / 2.0), ("quarter_form", math.sqrt(op.form_norm / 4.0)))
+    disk = _disk_verdict(op, vals)
     return tuple(
-        EqualityDiagnostic(case_id, bool(close(rad.lower, k)), bool(close(vals, k).all()), disk, k)
-        for case_id, k in targets
+        EqualityDiagnostic(case_id, holds, bool(close(vals, k).all()), disk, k)
+        for case_id, holds, k in targets
     )
 
 
@@ -173,12 +191,21 @@ def _require_same_context(*ops: AOperator) -> PsdContext:
     return ctx
 
 
-def _commutator_radius(op_t, op_x, op_y, s, grid_n) -> float:
-    """Grid-certified upper end of w_A(TX + sYT); nothing reads its lower end.
-    B_A(H) is an algebra and an adjointable T maps null(A) into null(A), so
+def _commutator_radius(op_t, op_x, op_y, s, grid_n, rhs) -> float:
+    """An upper end of w_A(M), M = TX + sYT, that decides every upper bound
+    r in rhs as a grid scan would. w_A(M) <= ||M||_A = sigma, so sigma is
+    returned when it is at most each r and close to none: then each report
+    holds and is not tight. Otherwise it is the grid-certified upper end of
+    an unrefined scan of M at grid_n; nothing reads its lower end. B_A(H) is
+    an algebra and an adjointable T maps null(A) into null(A), so
     compress(TX) = compress(T) compress(X) needs no second Douglas check."""
+    tol = op_t.ctx.tol
     c_t, c_x, c_y = op_t.compressed, op_x.compressed, op_y.compressed
-    prod = AOperator(op_t.ctx, op_t.t @ op_x.t + s * (op_y.t @ op_t.t), c_t @ c_x + s * (c_y @ c_t))
+    c = c_t @ c_x + s * (c_y @ c_t)
+    sigma = sigma_max(c)
+    if all(tol.at_most(sigma, r) and not tol.close(sigma, r) for r in rhs):
+        return sigma
+    prod = AOperator(op_t.ctx, op_t.t @ op_x.t + s * (op_y.t @ op_t.t), c)
     return radius_theta_scan(prod, grid_n, refine=False).upper
 
 
@@ -198,9 +225,13 @@ def commutator_th5(
     op_t: AOperator, op_x: AOperator, op_y: AOperator, rad_t: RadiusEstimate
 ) -> tuple[BoundReport, ...]:
     """The three upper bounds on w_A(TX + YT), then the same three on
-    w_A(TX - YT), each triple from one radius scan at rad_t's grid: lem1,
-    max(||X||_A, ||Y||_A) sqrt(2 ||T#A T + T T#A||_A), then the two refined
-    bounds th5_i and th5_ii, which read w_A(T) from rad_t."""
+    w_A(TX - YT): lem1, max(||X||_A, ||Y||_A) sqrt(2 ||T#A T + T T#A||_A),
+    then the two refined bounds th5_i and th5_ii, which read w_A(T) from
+    rad_t. Each triple's lhs comes from one ``_commutator_radius`` against
+    its three rhs: ||M||_A where that shows all three held and not tight,
+    else the upper end of a radius scan at rad_t's grid. So an lhs is not
+    the near-exact w_A(M) where the norm decided; ``anumrad radius`` on the
+    product gives that."""
     tol = _require_same_context(op_t, op_x, op_y).tol
     norm_xy = max(op_x.seminorm, op_y.seminorm)
     factor = 2.0 * SQRT2 * norm_xy
@@ -212,15 +243,19 @@ def commutator_th5(
     )
     reports = []
     for s in (1.0, -1.0):
-        lhs = _commutator_radius(op_t, op_x, op_y, s, rad_t.grid_n)
+        lhs = _commutator_radius(op_t, op_x, op_y, s, rad_t.grid_n, [r for _, r in rhs])
         reports += [_report(formula_id, lhs, r, tol, "upper") for formula_id, r in rhs]
     return tuple(reports)
 
 
 def commutator_compare(op_t: AOperator, op_s: AOperator, rad_t: RadiusEstimate) -> CommutatorComparison:
     """Refined bounds 2 sqrt2 min(alpha1, alpha2) and 2 sqrt2 min(beta1, beta2)
-    for w_A(TS +- ST), next to 2 sqrt2 min(||T|| w_A(S), ||S|| w_A(T)). S and
-    both products are scanned at rad_t's grid."""
+    for w_A(TS +- ST), next to 2 sqrt2 min(||T|| w_A(S), ||S|| w_A(T)). S is
+    scanned at rad_t's grid, since its w_A(S) enters the bounds as a value.
+    w_plus and w_minus come from ``_commutator_radius`` against
+    min(refined31, refined32), the bound ``comparison_violations`` checks
+    them against: ||TS +- ST||_A where that decides the check, else a scan at
+    rad_t's grid."""
     _require_same_context(op_t, op_s)
     grid_n = rad_t.grid_n
     wt, ws = rad_t.upper, radius_theta_scan(op_s, grid_n, refine=False).upper
@@ -228,14 +263,30 @@ def commutator_compare(op_t: AOperator, op_s: AOperator, rad_t: RadiusEstimate) 
     red_t, red_s = _reduced_radii(op_t, wt), _reduced_radii(op_s, ws)
     alpha1, beta1 = ns * red_t[0], ns * red_t[1]
     alpha2, beta2 = nt * red_s[0], nt * red_s[1]
+    refined31, refined32 = 2.0 * SQRT2 * min(alpha1, alpha2), 2.0 * SQRT2 * min(beta1, beta2)
+    rhs = [min(refined31, refined32)]
     return CommutatorComparison(
         alpha1=alpha1,
         alpha2=alpha2,
         beta1=beta1,
         beta2=beta2,
         zamani_bound=2.0 * SQRT2 * min(nt * ws, ns * wt),
-        refined31=2.0 * SQRT2 * min(alpha1, alpha2),
-        refined32=2.0 * SQRT2 * min(beta1, beta2),
-        w_plus=_commutator_radius(op_t, op_s, op_s, 1.0, grid_n),
-        w_minus=_commutator_radius(op_t, op_s, op_s, -1.0, grid_n),
+        refined31=refined31,
+        refined32=refined32,
+        w_plus=_commutator_radius(op_t, op_s, op_s, 1.0, grid_n, rhs),
+        w_minus=_commutator_radius(op_t, op_s, op_s, -1.0, grid_n, rhs),
     )
+
+
+def comparison_violations(cmp: CommutatorComparison, tol: TolerancePolicy) -> list[str]:
+    """The checks of a commutator comparison that fail: max(refined31,
+    refined32) <= zamani_bound, then w_plus and w_minus each <=
+    min(refined31, refined32). Empty when all hold."""
+    refined = (cmp.refined31, cmp.refined32)
+    failures = []
+    if not tol.at_most(max(refined), cmp.zamani_bound):
+        failures.append("refined commutator bound exceeds baseline")
+    for w in (cmp.w_plus, cmp.w_minus):
+        if not tol.at_most(w, min(refined)):
+            failures.append("commutator radius exceeds refined bound")
+    return failures

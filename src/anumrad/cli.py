@@ -3,8 +3,8 @@
 Subcommands: gen (write an instance), radius (certified enclosure),
 bounds (full inequality report), range (W_A(T) cloud as CSV), verify
 (run the randomized suite). Exit codes: 0 success, 1 counterexample
-found (a `bounds` report or a suite check that does not hold), 2 usage
-error, 3 I/O or format error.
+found (a `bounds` report, a commutator-comparison check or a suite check
+that does not hold), 2 usage error, 3 I/O or format error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .bounds import (
     classic_bounds,
     commutator_compare,
     commutator_th5,
+    comparison_violations,
 )
 from .harness import CONSTRUCTIONS, InstanceSpec, SuiteConfig, gen_instance, run_suite
 from .linalg import LinAlgInputError, TolerancePolicy
@@ -129,16 +130,20 @@ def _cmd_bounds(args) -> int:
     reports = classic_bounds(op, rad)
     reports += [bound_th1(op, rad), bound_th2(op, rad), bound_th3(op, rad), bound_th4(op, rad)]
     payload = {"radius": aio.to_dict(rad)}
+    failures = []
     if "X" in inst:
         op_x = make_a_operator(ctx, inst["X"])
         op_y = make_a_operator(ctx, inst["Y"])
         reports.extend(commutator_th5(op, op_x, op_y, rad))
     if "S" in inst:
-        op_s = make_a_operator(ctx, inst["S"])
-        payload["commutator_comparison"] = aio.to_dict(commutator_compare(op, op_s, rad))
+        cmp = commutator_compare(op, make_a_operator(ctx, inst["S"]), rad)
+        payload["commutator_comparison"] = aio.to_dict(cmp)
+        failures = comparison_violations(cmp, ctx.tol)
     payload["reports"] = [aio.to_dict(r) for r in reports]
     _emit(payload, args.out)
-    return EXIT_OK if all(r.holds for r in reports) else EXIT_COUNTEREXAMPLE
+    for failure in failures:
+        print(f"counterexample: {failure}", file=sys.stderr)
+    return EXIT_OK if all(r.holds for r in reports) and not failures else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_range(args) -> int:

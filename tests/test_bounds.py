@@ -7,6 +7,7 @@ import pytest
 from anumrad import (
     ContextMismatchError,
     InstanceSpec,
+    RadiusEstimate,
     bound_th1,
     bound_th2,
     bound_th3,
@@ -14,6 +15,7 @@ from anumrad import (
     classic_bounds,
     commutator_compare,
     commutator_th5,
+    disk_test,
     equality_diagnostics,
     equality_half_norm,
     gen_instance,
@@ -25,6 +27,7 @@ from anumrad import (
 )
 from anumrad import bounds
 from anumrad.io import to_dict
+from anumrad.linalg import TolerancePolicy
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SQRT2 = math.sqrt(2.0)
@@ -33,6 +36,19 @@ SQRT2 = math.sqrt(2.0)
 def prepared(a, t):
     op = make_a_operator(psd_decompose(a), t)
     return op, radius_theta_scan(op)
+
+
+def count_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to count the matrices it is given."""
+    counted = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m, *args, **kwargs):
+        counted[0] += int(np.prod(np.shape(m)[:-2]))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return counted
 
 
 class TestCartesianFormNorm:
@@ -147,11 +163,13 @@ class TestEqualityDiagnostics:
         assert diag.target == pytest.approx(0.5, rel=1e-12)
 
     def test_selfadjoint_half_norm_fails(self):
+        # w = 1 is above both targets, so the profile is not read; it is
+        # |cos|, which disk_test finds not constant
         op, rad = prepared(np.eye(2), np.diag([1.0, -1.0]))
         diag = equality_half_norm(op, rad)
         assert not diag.equality_holds
-        assert not diag.re_im_constant
-        assert not diag.disk.is_disk
+        assert diag.re_im_constant is None and diag.disk is None
+        assert not disk_test(op, 180).is_disk
 
     def test_jordan_quarter_form_case(self):
         op, rad = prepared(np.eye(2), JORDAN)
@@ -172,8 +190,8 @@ class TestEqualityDiagnostics:
         diag = equality_diagnostics(op, rad)[1]
         assert diag.target == pytest.approx(1.0 / SQRT2, rel=1e-12)
         assert not diag.equality_holds
-        assert not diag.re_im_constant
-        assert not diag.disk.is_disk
+        assert diag.re_im_constant is None and diag.disk is None
+        assert not disk_test(op, 180).is_disk
 
     def test_jordan_verdicts_on_small_even_grid(self):
         op, rad = prepared(np.eye(2), JORDAN)
@@ -246,6 +264,31 @@ class TestEqualityDiagnostics:
         diags = equality_diagnostics(op, rad)
         assert counted[0] == 0
         assert diags[0].equality_holds and diags[0].re_im_constant and diags[0].disk.is_disk
+
+    def test_unattainable_targets_read_no_profile(self, monkeypatch):
+        # T = diag(1 + i, 0): w = sqrt 2 against the targets sqrt 2 / 2 and
+        # 1, neither attainable, so nothing is solved and both profile
+        # fields serialize as null ("not evaluated")
+        op, rad = prepared(np.eye(2), np.diag([1.0 + 1.0j, 0.0]))
+        counted = count_eigvalsh(monkeypatch)
+        pair = equality_diagnostics(op, rad)
+        assert counted[0] == 0
+        for diag in pair:
+            assert not rad.lower <= diag.target <= rad.upper
+            out = json.loads(json.dumps(to_dict(diag)))
+            assert out["equality_holds"] is False
+            assert out["re_im_constant"] is None and out["disk"] is None
+
+    def test_target_inside_the_enclosure_reads_the_profile(self):
+        # T = diag(1, -1) (w = 1) against a wide enclosure [0.4, 0.6]: the
+        # half-norm target 1/2 lies in it without equality_holds, so the
+        # profile |cos| is read for both diagnostics, and it is not flat
+        op, _ = prepared(np.eye(2), np.diag([1.0, -1.0]))
+        wide = RadiusEstimate(lower=0.4, upper=0.6, theta_star=0.0, grid_n=720)
+        for diag in equality_diagnostics(op, wide):
+            assert not diag.equality_holds
+            assert diag.re_im_constant is False
+            assert diag.disk is not None and not diag.disk.is_disk
 
     def test_serialized_keys(self):
         op, rad = prepared(np.eye(2), JORDAN)
@@ -366,11 +409,61 @@ def test_commutator_scans_run_at_the_grid_of_rad_t(monkeypatch, grid_n):
 
     monkeypatch.setattr(bounds, "radius_theta_scan", recording)
     a, t = gen_instance(InstanceSpec(dim=4, rank_a=3, seed=5))
-    ctx = psd_decompose(a)
-    op_t = make_a_operator(ctx, t)
-    op_x, op_y = gen_partner(ctx, [5, 2]), gen_partner(ctx, [5, 3])
-    rad_t = scan(op_t, grid_n)
-    commutator_th5(op_t, op_x, op_y, rad_t)
-    commutator_compare(op_t, op_x, rad_t)
-    # two products for th5, then S and its two products for the comparison
-    assert grids == [grid_n] * 5
+    # An equality tolerance near 1 puts every rhs close to sigma_max of its
+    # product, so sigma decides nothing and every product is scanned.
+    for tol, n_scans in ((TolerancePolicy(), 1), (TolerancePolicy(equality_rel_tol=0.999), 5)):
+        grids.clear()
+        ctx = psd_decompose(a, tol)
+        op_t = make_a_operator(ctx, t)
+        op_x, op_y = gen_partner(ctx, [5, 2]), gen_partner(ctx, [5, 3])
+        rad_t = scan(op_t, grid_n)
+        commutator_th5(op_t, op_x, op_y, rad_t)
+        commutator_compare(op_t, op_x, rad_t)
+        # S alone where sigma decides; else two products for th5, then S
+        # and its two products for the comparison
+        assert grids == [grid_n] * n_scans
+
+
+def test_th5_family_on_a_closed_form():
+    # rank(A) = 1 and every compression a scalar: T = 3 + i, X = 2, Y = i.
+    # ||D||_A = 2 |T|^2 = 20, w_A(T) = sqrt 10, ||Re|| = 3, ||Im|| = 1,
+    # ||Re + Im|| = 4 and ||Re - Im|| = 2, so the reduced radii are
+    # sqrt(10 - 8/2) = sqrt 6 and sqrt(10 - 12/4) = sqrt 7.
+    ctx = psd_decompose(np.diag([1.0, 0.0]))
+    op_t = make_a_operator(ctx, np.diag([3.0 + 1.0j, 0.0]))
+    op_x, op_y = make_a_operator(ctx, np.diag([2.0, 0.0])), make_a_operator(ctx, np.diag([1.0j, 0.0]))
+    reports = commutator_th5(op_t, op_x, op_y, radius_theta_scan(op_t))
+    rhs = {"lem1": 4.0 * math.sqrt(10.0), "th5_i": 8.0 * math.sqrt(3.0), "th5_ii": 4.0 * math.sqrt(14.0)}
+    for rep in reports:
+        assert rep.rhs == pytest.approx(rhs[rep.formula_id], rel=1e-8)
+        # TX + YT = 5 + 5i and TX - YT = 7 - i, both of modulus 5 sqrt 2
+        assert rep.lhs == pytest.approx(5.0 * SQRT2, rel=1e-8)
+        assert rep.holds and not rep.tight
+
+
+def test_attaining_commutator_is_still_scanned(monkeypatch):
+    # rank(A) = 1, T = 3, X = Y = S = s: w(TS + ST) = 6|s| equals the lem1
+    # and th5_i rhs and min(refined31, refined32), so sigma_max = 6|s|
+    # cannot decide them and the product is scanned; TS - ST = 0 is decided
+    # by its zero norm.
+    s = 0.7
+    ctx = psd_decompose(np.diag([1.0, 0.0]))
+    op_t, op_s = make_a_operator(ctx, np.diag([3.0, 0.0])), make_a_operator(ctx, np.diag([s, 0.0]))
+    rad_t = radius_theta_scan(op_t)
+    counted = count_eigvalsh(monkeypatch)
+    reports = {(i // 3, r.formula_id): r for i, r in enumerate(commutator_th5(op_t, op_s, op_s, rad_t))}
+    assert counted[0] > 0
+    for fid in ("lem1", "th5_i"):
+        assert reports[0, fid].rhs == pytest.approx(6.0 * s, rel=1e-8)
+        assert reports[0, fid].holds and reports[0, fid].tight
+    assert reports[1, "lem1"].lhs == 0.0
+    before = counted[0]
+    cmp = commutator_compare(op_t, op_s, rad_t)
+    compare_mats = counted[0] - before
+    before = counted[0]
+    radius_theta_scan(op_s, rad_t.grid_n, refine=False)
+    # S's own scan, then a scan of TS + ST
+    assert compare_mats > counted[0] - before
+    assert cmp.w_plus == reports[0, "lem1"].lhs
+    assert cmp.w_plus == pytest.approx(min(cmp.refined31, cmp.refined32), rel=1e-6)
+    assert cmp.w_minus == 0.0

@@ -169,6 +169,28 @@ class TestBounds:
         assert cmp["refined31"] <= cmp["zamani_bound"] * (1.0 + 1e-10)
         assert all(r["holds"] for r in payload["reports"])
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"refined32": 10.0},  # max(refined) above zamani_bound
+            {"w_plus": 10.0},  # w_+ above min(refined)
+            {"w_minus": 10.0},
+        ],
+    )
+    def test_a_failing_comparison_exits_with_counterexample(self, tmp_path, monkeypatch, capsys, change):
+        compare = cli.commutator_compare
+
+        def failing(op_t, op_s, rad_t):
+            return dataclasses.replace(compare(op_t, op_s, rad_t), **change)
+
+        monkeypatch.setattr(cli, "commutator_compare", failing)
+        path = tmp_path / "full.json"
+        save_instance(path, {"A": np.eye(2), "T": JORDAN, "S": JORDAN.conj().T})
+        out = tmp_path / "bounds.json"
+        assert main(["bounds", "--in", str(path), "--out", str(out)]) == EXIT_COUNTEREXAMPLE
+        assert all(r["holds"] for r in json.loads(out.read_text())["reports"])
+        assert "counterexample: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["X", "Y"])
     def test_partner_without_its_pair_is_a_format_error(self, tmp_path, capsys, key):
         path = tmp_path / "half.json"

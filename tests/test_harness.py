@@ -5,6 +5,7 @@ import pytest
 
 from anumrad import (
     CONSTRUCTIONS,
+    AOperator,
     InstanceSpec,
     ProbeRetryError,
     SuiteConfig,
@@ -236,8 +237,10 @@ class TestSuite:
         assert all(ev.rad.lower <= ev.rad.upper for ev in report.evaluations)
 
     def test_equality_stage_evaluates_one_profile(self, monkeypatch):
-        # The equality stage makes one 180-angle grid read. No seed-42 scan
-        # is flat, so none stores its grid and the read solves all 180.
+        # A random seed-42 instance attains neither equality target, so its
+        # equality stage reads no grid, the only way it solves. A nilpotent
+        # one attains both and makes one 180-angle grid read, which its
+        # scan's stored grid serves (a flat profile prunes nothing).
         solved = [0]
         eigvalsh = np.linalg.eigvalsh
 
@@ -256,13 +259,82 @@ class TestSuite:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         monkeypatch.setattr(bounds, "_grid_extremes", recording)
-        config = SuiteConfig(n_instances=7, seed=42)
-        assert [s.dim for s in config.instance_specs()] == list(range(2, 9))
+        config = SuiteConfig(n_instances=14, seed=42, constructions=("random", "nilpotent_half"))
+        assert [s.dim for s in config.instance_specs()] == list(range(2, 9)) * 2
         for i, spec in enumerate(config.instance_specs()):
             reads.clear()
             ev = evaluate_instance(spec, config, index=i)
             assert ev.adjointable
-            assert reads == [(180, 180)]
+            if spec.construction == "random":
+                assert reads == []
+                assert all(d.disk is None and d.re_im_constant is None for d in ev.diagnostics)
+            else:
+                assert reads == [(180, 0)]
+                assert all(d.equality_holds and d.re_im_constant and d.disk.is_disk for d in ev.diagnostics)
+
+    def test_unevaluated_profile_under_equality_is_a_violation(self, monkeypatch):
+        # The necessity check never passes on a profile it did not read.
+        diagnostics = bounds.equality_diagnostics
+
+        def unread(op, rad):
+            return tuple(
+                dataclasses.replace(d, equality_holds=True, re_im_constant=None, disk=None)
+                for d in diagnostics(op, rad)
+            )
+
+        monkeypatch.setattr(harness, "equality_diagnostics", unread)
+        spec = SuiteConfig(n_instances=1, seed=42).instance_specs()[0]
+        ev = evaluate_instance(spec, SuiteConfig(n_instances=1, seed=42))
+        assert ev.violations == [
+            "[0] equality half_norm without its necessity conditions",
+            "[0] equality quarter_form without its necessity conditions",
+        ]
+
+    def test_seed_42_suite_eigensolves_per_instance(self, monkeypatch):
+        # The commutator products are decided by their norms and the equality
+        # profile is not read, so what is solved is mostly T's and S's scans.
+        solved = [0]
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            solved[0] += int(np.prod(np.shape(a)[:-2]))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = run_suite(SuiteConfig(seed=42))
+        assert report.ok
+        assert solved[0] <= 120 * len(report.evaluations)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_commutator_verdicts_match_scanned_products(self, seed):
+        # Every th5 report and both w_+- checks read as they would with the
+        # lhs a radius scan of the product gives, computed here.
+        config = SuiteConfig(n_instances=50, seed=seed)
+        tol = config.tol
+
+        def verdict(lhs, rhs):
+            holds = tol.at_most(lhs, rhs)
+            return holds, holds and bool(tol.close(lhs, rhs))
+
+        for i, spec in enumerate(config.instance_specs()):
+            ev = evaluate_instance(spec, config, index=i)
+            op, ctx = ev.op, ev.ctx
+
+            def scanned(x, y, s):
+                c = op.compressed @ x.compressed + s * (y.compressed @ op.compressed)
+                prod = AOperator(ctx, op.t @ x.t + s * (y.t @ op.t), c)
+                return radius_theta_scan(prod, config.grid_n, refine=False).upper
+
+            op_x, op_y = gen_partner(ctx, [spec.seed, 2]), gen_partner(ctx, [spec.seed, 3])
+            th5 = [r for r in ev.reports if r.formula_id in ("lem1", "th5_i", "th5_ii")]
+            assert len(th5) == 6
+            for s, triple in ((1.0, th5[:3]), (-1.0, th5[3:])):
+                lhs = scanned(op_x, op_y, s)
+                assert [(r.holds, r.tight) for r in triple] == [verdict(lhs, r.rhs) for r in triple]
+            cmp = ev.comparison
+            bound = min(cmp.refined31, cmp.refined32)
+            for s, w in ((1.0, cmp.w_plus), (-1.0, cmp.w_minus)):
+                assert verdict(w, bound) == verdict(scanned(ev.partner, ev.partner, s), bound)
 
     def test_probe_instances_recorded_not_flagged(self):
         spec = InstanceSpec(dim=3, rank_a=1, construction="nonadjointable_probe", seed=2)

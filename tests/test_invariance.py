@@ -62,7 +62,10 @@ def _verdicts(a, t, seed):
     verdicts = {
         "adjointable": is_adjointable(ctx, t),
         "reports": [(r.formula_id, r.holds, r.tight) for r in reports],
-        "diagnostics": [(d.equality_holds, d.re_im_constant, d.disk.is_disk) for d in diags],
+        # an unread profile (None) is a verdict value of its own
+        "diagnostics": [
+            (d.equality_holds, d.re_im_constant, None if d.disk is None else d.disk.is_disk) for d in diags
+        ],
         "disk": disk_test(op).is_disk,
     }
     return verdicts, np.array([r.slack / r.scale for r in reports])

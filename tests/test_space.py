@@ -22,6 +22,7 @@ from anumrad import (
     spectral_norm,
 )
 from anumrad import bounds
+from anumrad.linalg import TolerancePolicy
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -169,9 +170,15 @@ class TestAdjointabilityVerdicts:
                 assert is_adjointable(ctx, m) == douglas_nxn(ctx, m) == expected
 
 
+# An equality tolerance near 1 puts sigma_max of every commutator product
+# close to each rhs it is compared with, so no norm decides a report and
+# every product is scanned.
+SCANNING_TOL = TolerancePolicy(equality_rel_tol=0.999)
+
+
 def record_products(monkeypatch):
-    """Record every AOperator that ``bounds`` builds (its commutator
-    products) in the returned list."""
+    """Record every AOperator that ``bounds`` builds (the commutator
+    products it scans) in the returned list."""
     products = []
     build = bounds.AOperator
 
@@ -229,6 +236,8 @@ class TestNoEagerWork:
         products = record_products(monkeypatch)
         rng = np.random.default_rng(11)
         ctx, op_t = random_adjointable(rng, 4, 3)
+        ctx = psd_decompose(ctx.a, SCANNING_TOL)
+        op_t = make_a_operator(ctx, op_t.t)
         op_x = make_a_operator(ctx, ctx.proj @ rng.standard_normal((4, 4)) @ ctx.proj)
         op_y = make_a_operator(ctx, ctx.proj @ rng.standard_normal((4, 4)) @ ctx.proj)
         rad_t = radius_theta_scan(op_t, 90)
@@ -393,13 +402,15 @@ class TestOperatorInvariants:
         # C_T C_X + s C_Y C_T: the product skips the n x n compression
         products = record_products(monkeypatch)
         a, t = gen_instance(InstanceSpec(dim=n, rank_a=rank, construction=construction, seed=n))
-        ctx = psd_decompose(a)
+        ctx = psd_decompose(a, SCANNING_TOL)
         op_t = make_a_operator(ctx, t)
         op_x, op_y = gen_partner(ctx, 1), gen_partner(ctx, 2)
         rad_t = radius_theta_scan(op_t, 90)
         commutator_th5(op_t, op_x, op_y, rad_t)
         commutator_compare(op_t, op_x, rad_t)
-        assert len(products) == 4
+        # At rank 1 the compressions commute: TS - ST = 0, whose zero norm
+        # decides its check however loose the tolerance.
+        assert len(products) == (3 if rank == 1 else 4)
         scale = op_t.seminorm * max(op_x.seminorm, op_y.seminorm)
         for prod in products:
             assert prod.compressed.shape == (rank, rank)
