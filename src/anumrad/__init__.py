@@ -19,6 +19,7 @@ from .bounds import (
     commutator_th5,
     equality_diagnostics,
     equality_half_norm,
+    inequality_reports,
 )
 from .harness import (
     CONSTRUCTIONS,

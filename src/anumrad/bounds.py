@@ -13,11 +13,13 @@ made only when one of their targets can be attained; it takes every 2^p-th
 row of a grid T's scan stored when it solved all of its angles (a flat
 profile), and otherwise solves the whole grid once.
 
-Every check is emitted as a :class:`BoundReport` whose slack is oriented so
-that "holds" always means slack >= -check_rel_tol * max(|lhs|, |rhs|). Where
-w_A(T) appears on a side of an inequality, the enclosure is used
-conservatively: the lower estimate on the large side of >=, the upper
-estimate on the small side.
+``inequality_reports`` assembles every inequality of the paper for one T,
+the comparison of the refined commutator bounds included, for both the
+suite and ``anumrad bounds``. Every check is emitted as a
+:class:`BoundReport` whose slack is oriented so that "holds" always means
+slack >= -check_rel_tol * max(|lhs|, |rhs|). Where w_A(T) appears on a
+side of an inequality, the enclosure is used conservatively: the lower
+estimate on the large side of >=, the upper estimate on the small side.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ class CommutatorComparison:
     products they improve on, plus upper ends w_plus and w_minus of the radii
     of TS + ST and TS - ST (see ``_commutator_radius``): ||M||_A where that
     alone shows w_A(M) below min(refined31, refined32), not close to it, and
-    otherwise the grid-certified upper end of the scan."""
+    otherwise the grid-certified upper end of the scan. ``inequality_reports``
+    checks it as the reports cmp_refined, cmp_w_plus and cmp_w_minus."""
 
     alpha1: float
     alpha2: float
@@ -253,8 +256,8 @@ def commutator_compare(op_t: AOperator, op_s: AOperator, rad_t: RadiusEstimate) 
     for w_A(TS +- ST), next to 2 sqrt2 min(||T|| w_A(S), ||S|| w_A(T)). S is
     scanned at rad_t's grid, since its w_A(S) enters the bounds as a value.
     w_plus and w_minus come from ``_commutator_radius`` against
-    min(refined31, refined32), the bound ``comparison_violations`` checks
-    them against: ||TS +- ST||_A where that decides the check, else a scan at
+    min(refined31, refined32), the bound ``inequality_reports`` checks them
+    against: ||TS +- ST||_A where that decides the check, else a scan at
     rad_t's grid."""
     _require_same_context(op_t, op_s)
     grid_n = rad_t.grid_n
@@ -278,15 +281,30 @@ def commutator_compare(op_t: AOperator, op_s: AOperator, rad_t: RadiusEstimate) 
     )
 
 
-def comparison_violations(cmp: CommutatorComparison, tol: TolerancePolicy) -> list[str]:
-    """The checks of a commutator comparison that fail: max(refined31,
-    refined32) <= zamani_bound, then w_plus and w_minus each <=
-    min(refined31, refined32). Empty when all hold."""
+def inequality_reports(
+    op: AOperator,
+    rad: RadiusEstimate,
+    xy: tuple[AOperator, AOperator] | None = None,
+    s: AOperator | None = None,
+) -> tuple[list[BoundReport], CommutatorComparison | None]:
+    """Every inequality report for T, in order: the four classical sandwich
+    checks, th1-th4, then the six th5 reports when xy = (X, Y) is given.
+    With S, also the comparison of the refined commutator bounds and its
+    three checks: cmp_refined, max(refined31, refined32) <= zamani_bound,
+    then cmp_w_plus and cmp_w_minus, w_plus and w_minus each <=
+    min(refined31, refined32). The comparison is None without S."""
+    reports = classic_bounds(op, rad)
+    reports += [bound(op, rad) for bound in (bound_th1, bound_th2, bound_th3, bound_th4)]
+    if xy is not None:
+        reports.extend(commutator_th5(op, *xy, rad))
+    if s is None:
+        return reports, None
+    cmp = commutator_compare(op, s, rad)
+    tol = op.ctx.tol
     refined = (cmp.refined31, cmp.refined32)
-    failures = []
-    if not tol.at_most(max(refined), cmp.zamani_bound):
-        failures.append("refined commutator bound exceeds baseline")
-    for w in (cmp.w_plus, cmp.w_minus):
-        if not tol.at_most(w, min(refined)):
-            failures.append("commutator radius exceeds refined bound")
-    return failures
+    reports.append(_report("cmp_refined", max(refined), cmp.zamani_bound, tol, "upper"))
+    reports += [
+        _report(formula_id, w, min(refined), tol, "upper")
+        for formula_id, w in (("cmp_w_plus", cmp.w_plus), ("cmp_w_minus", cmp.w_minus))
+    ]
+    return reports, cmp

@@ -17,15 +17,8 @@ from .bounds import (
     BoundReport,
     CommutatorComparison,
     EqualityDiagnostic,
-    bound_th1,
-    bound_th2,
-    bound_th3,
-    bound_th4,
-    classic_bounds,
-    commutator_compare,
-    commutator_th5,
-    comparison_violations,
     equality_diagnostics,
+    inequality_reports,
 )
 from .linalg import TolerancePolicy, as_count
 from .radius import RadiusEstimate, radius_theta_scan, witness_value
@@ -252,12 +245,13 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
 
     rad = radius_theta_scan(op, config.grid_n)
     w = witness_value(op, rad.theta_star)
+    partner = gen_partner(ctx, [spec.seed, 1])
+    xy = gen_partner(ctx, [spec.seed, 2]), gen_partner(ctx, [spec.seed, 3])
+    reports, comparison = inequality_reports(op, rad, xy, partner)
     ev = InstanceEvaluation(
-        index=index, spec=spec, adjointable=True, ctx=ctx, op=op, rad=rad, witness_value=w
+        index=index, spec=spec, adjointable=True, ctx=ctx, op=op, partner=partner, rad=rad,
+        witness_value=w, reports=reports, comparison=comparison,
     )
-
-    ev.reports.extend(classic_bounds(op, rad))
-    ev.reports += [bound_th1(op, rad), bound_th2(op, rad), bound_th3(op, rad), bound_th4(op, rad)]
 
     if not (config.tol.at_most(rad.lower, w) and config.tol.at_most(w, rad.upper)):
         ev.violations.append(f"[{index}] witness value outside the certified enclosure")
@@ -267,12 +261,6 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
         # A profile left unevaluated (None) proves nothing, so it fails here.
         if diag.equality_holds and not (diag.re_im_constant and diag.disk is not None and diag.disk.is_disk):
             ev.violations.append(f"[{index}] equality {diag.case_id} without its necessity conditions")
-
-    ev.partner = gen_partner(ctx, [spec.seed, 1])
-    op_x, op_y = gen_partner(ctx, [spec.seed, 2]), gen_partner(ctx, [spec.seed, 3])
-    ev.reports.extend(commutator_th5(op, op_x, op_y, rad))
-    ev.comparison = commutator_compare(op, ev.partner, rad)
-    ev.violations += [f"[{index}] {failure}" for failure in comparison_violations(ev.comparison, config.tol)]
 
     for report in ev.reports:
         if not report.holds:

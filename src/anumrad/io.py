@@ -87,16 +87,17 @@ def cloud_to_csv(cloud: RangeCloud, fp) -> None:
 
 
 def _plain(value):
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, np.generic):
         return value.item()
+    if dataclasses.is_dataclass(value):
+        return to_dict(value)
     return value
 
 
 def to_dict(obj) -> dict:
-    """A result dataclass (nested ones included) as a JSON-ready dict."""
-    return _plain(dataclasses.asdict(obj))
+    """A result dataclass (nested ones included) as a JSON-ready dict, field
+    by field: numpy scalars become Python ones, other values are not copied."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
 def evaluation_to_dict(ev: InstanceEvaluation) -> dict:

@@ -20,6 +20,7 @@ from anumrad import (
     equality_half_norm,
     gen_instance,
     gen_partner,
+    inequality_reports,
     make_a_operator,
     psd_decompose,
     radius_theta_scan,
@@ -375,6 +376,30 @@ class TestCommutatorBounds:
             commutator_th5(self.op_t, other, other, self.rad_t)
         with pytest.raises(ContextMismatchError):
             commutator_compare(self.op_t, other, self.rad_t)
+
+
+@pytest.mark.parametrize("construction", ["random", "nilpotent_half", "shared_eigenbasis_selfadjoint"])
+def test_inequality_reports_are_the_evaluators_in_order(construction):
+    a, t = gen_instance(InstanceSpec(dim=4, rank_a=3, construction=construction, seed=31))
+    ctx = psd_decompose(a)
+    op_t, op_s = make_a_operator(ctx, t), gen_partner(ctx, [31, 1])
+    xy = gen_partner(ctx, [31, 2]), gen_partner(ctx, [31, 3])
+    rad = radius_theta_scan(op_t)
+    expected = classic_bounds(op_t, rad)
+    expected += [f(op_t, rad) for f in (bound_th1, bound_th2, bound_th3, bound_th4)]
+    assert inequality_reports(op_t, rad) == (expected, None)
+    expected += commutator_th5(op_t, *xy, rad)
+    assert inequality_reports(op_t, rad, xy) == (expected, None)
+    reports, cmp = inequality_reports(op_t, rad, xy, op_s)
+    assert cmp == commutator_compare(op_t, op_s, rad)
+    assert reports[:-3] == expected
+    refined = (cmp.refined31, cmp.refined32)
+    assert [(r.formula_id, r.lhs, r.rhs) for r in reports[-3:]] == [
+        ("cmp_refined", max(refined), cmp.zamani_bound),
+        ("cmp_w_plus", cmp.w_plus, min(refined)),
+        ("cmp_w_minus", cmp.w_minus, min(refined)),
+    ]
+    assert all(r.holds and r.slack == r.rhs - r.lhs for r in reports[-3:])
 
 
 @pytest.mark.parametrize("construction", ["random", "nilpotent_half", "shared_eigenbasis_selfadjoint"])

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from anumrad import cli
+from anumrad import SuiteConfig, bounds, evaluate_instance, gen_instance, gen_partner
 from anumrad.cli import EXIT_COUNTEREXAMPLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from anumrad.io import InstanceFormatError, load_instance, matrix_to_json, save_instance
+from anumrad.io import InstanceFormatError, evaluation_to_dict, load_instance, matrix_to_json, save_instance
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -132,19 +132,20 @@ class TestBounds:
         assert ids == ["eqv_lower", "eqv_upper", "eqv1_lower", "eqv1_upper", "th1", "th2", "th3", "th4"]
         assert all(r["holds"] for r in payload["reports"])
 
-    def test_a_failing_report_exits_with_counterexample(self, jordan_file, tmp_path, monkeypatch):
-        classic_bounds = cli.classic_bounds
+    def test_a_failing_report_exits_with_counterexample(self, jordan_file, tmp_path, monkeypatch, capsys):
+        classic_bounds = bounds.classic_bounds
 
         def failing(op, rad):
             reports = classic_bounds(op, rad)
-            reports[1] = dataclasses.replace(reports[1], holds=False)
+            reports[1] = dataclasses.replace(reports[1], holds=False, slack=-0.25)
             return reports
 
-        monkeypatch.setattr(cli, "classic_bounds", failing)
+        monkeypatch.setattr(bounds, "classic_bounds", failing)
         out = tmp_path / "bounds.json"
         assert main(["bounds", "--in", str(jordan_file), "--out", str(out)]) == EXIT_COUNTEREXAMPLE
         reports = json.loads(out.read_text())["reports"]
         assert [r["formula_id"] for r in reports if not r["holds"]] == ["eqv_upper"]
+        assert capsys.readouterr().err == "counterexample: eqv_upper violated (slack -2.500e-01)\n"
 
     @pytest.mark.parametrize("k", [512, 520])
     def test_scale_outside_the_certified_range_is_an_input_error(self, tmp_path, capsys, k):
@@ -165,6 +166,7 @@ class TestBounds:
         payload = json.loads(out.read_text())
         ids = [r["formula_id"] for r in payload["reports"]]
         assert ids.count("lem1") == 2 and ids.count("th5_i") == 2 and ids.count("th5_ii") == 2
+        assert ids[-3:] == ["cmp_refined", "cmp_w_plus", "cmp_w_minus"]
         cmp = payload["commutator_comparison"]
         assert cmp["refined31"] <= cmp["zamani_bound"] * (1.0 + 1e-10)
         assert all(r["holds"] for r in payload["reports"])
@@ -178,18 +180,37 @@ class TestBounds:
         ],
     )
     def test_a_failing_comparison_exits_with_counterexample(self, tmp_path, monkeypatch, capsys, change):
-        compare = cli.commutator_compare
+        [field] = change
+        failed = {"refined32": "cmp_refined", "w_plus": "cmp_w_plus", "w_minus": "cmp_w_minus"}[field]
+        compare = bounds.commutator_compare
 
         def failing(op_t, op_s, rad_t):
             return dataclasses.replace(compare(op_t, op_s, rad_t), **change)
 
-        monkeypatch.setattr(cli, "commutator_compare", failing)
+        monkeypatch.setattr(bounds, "commutator_compare", failing)
         path = tmp_path / "full.json"
         save_instance(path, {"A": np.eye(2), "T": JORDAN, "S": JORDAN.conj().T})
         out = tmp_path / "bounds.json"
         assert main(["bounds", "--in", str(path), "--out", str(out)]) == EXIT_COUNTEREXAMPLE
-        assert all(r["holds"] for r in json.loads(out.read_text())["reports"])
-        assert "counterexample: " in capsys.readouterr().err
+        assert [r["formula_id"] for r in json.loads(out.read_text())["reports"] if not r["holds"]] == [failed]
+        assert capsys.readouterr().err.startswith(f"counterexample: {failed} violated (slack -")
+
+    def test_agrees_with_the_suite(self, tmp_path):
+        # The suite's own partners written to an instance file give the same
+        # reports and comparison through `bounds`, bit for bit: the JSON
+        # round trip of binary64 is exact.
+        config = SuiteConfig(seed=42)
+        for i, spec in enumerate(config.instance_specs()[:10]):
+            ev = evaluate_instance(spec, config, index=i)
+            matrices = dict(zip("AT", gen_instance(spec)))
+            for k, key in ((1, "S"), (2, "X"), (3, "Y")):
+                matrices[key] = gen_partner(ev.ctx, [spec.seed, k]).t
+            path, out = tmp_path / f"inst{i}.json", tmp_path / f"bounds{i}.json"
+            save_instance(path, matrices)
+            assert main(["bounds", "--in", str(path), "--grid-n", "720", "--out", str(out)]) == EXIT_OK
+            payload, suite = json.loads(out.read_text()), evaluation_to_dict(ev)
+            assert payload["reports"] == suite["reports"]
+            assert payload["commutator_comparison"] == suite["commutator_comparison"]
 
     @pytest.mark.parametrize("key", ["X", "Y"])
     def test_partner_without_its_pair_is_a_format_error(self, tmp_path, capsys, key):

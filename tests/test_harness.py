@@ -290,6 +290,27 @@ class TestSuite:
             "[0] equality quarter_form without its necessity conditions",
         ]
 
+    @pytest.mark.parametrize(
+        "change, failed",
+        [
+            ({"refined32": 10.0}, "cmp_refined"),
+            ({"w_plus": 10.0}, "cmp_w_plus"),
+            ({"w_minus": 10.0}, "cmp_w_minus"),
+        ],
+    )
+    def test_a_failed_comparison_is_a_report_violation(self, monkeypatch, change, failed):
+        compare = bounds.commutator_compare
+
+        def failing(*args):
+            return dataclasses.replace(compare(*args), **change)
+
+        monkeypatch.setattr(bounds, "commutator_compare", failing)
+        config = SuiteConfig(n_instances=1, seed=42)
+        ev = evaluate_instance(config.instance_specs()[0], config)
+        [report] = [r for r in ev.reports if not r.holds]
+        assert report.formula_id == failed and report.slack < 0
+        assert ev.violations == [f"[0] {failed} violated (slack {report.slack:.3e})"]
+
     def test_seed_42_suite_eigensolves_per_instance(self, monkeypatch):
         # The commutator products are decided by their norms and the equality
         # profile is not read, so what is solved is mostly T's and S's scans.
