@@ -10,8 +10,10 @@ unrefined radius scan at T's grid (they read only upper ends) only when
 that norm cannot show each bound it meets to hold and not be tight. The
 two equality diagnostics share one read of the phase profile on their grid,
 made only when one of their targets can be attained; it takes every 2^p-th
-row of a grid T's scan stored when it solved all of its angles (a flat
-profile), and otherwise solves the whole grid once.
+row of a grid stored on T, which T's scan leaves only when it solved all of
+its angles, and otherwise solves the whole grid once and stores it. A flat
+profile, where the equality targets are met, stops T's scan at its first
+level, which stores nothing, so the read solves its grid there.
 
 ``inequality_reports`` assembles every inequality of the paper for one T,
 the comparison of the refined commutator bounds included, for both the
@@ -162,7 +164,10 @@ def equality_diagnostics(
     is the Re profile rolled by grid_n/2, so one profile and one disk verdict
     serve all checks. The profile is read only when some target k can be
     attained: its equality holds, or k lies in [rad.lower, rad.upper].
-    Otherwise both diagnostics carry re_im_constant = disk = None."""
+    Otherwise both diagnostics carry re_im_constant = disk = None. The read
+    goes through the operator's store (``radius._grid_extremes``); a flat
+    profile's scan fills none, so the grid is solved here once and then
+    serves ``range_cloud`` and ``disk_test``."""
     grid_n = as_count(grid_n, "grid_n")
     if grid_n < 8 or grid_n % 2:
         raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")

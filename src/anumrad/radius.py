@@ -10,7 +10,11 @@ width d whose end values are at most M therefore holds f <= M / cos(d / 2),
 which turns the scan into a certified enclosure. The scan runs on nested
 grids and refines only the cells whose vertex bound still exceeds the
 largest value seen, with the enclosure of the full uniform grid or a
-tighter one.
+tighter one. A flat profile, as on an origin disk W, prunes nothing; when
+the coarsest grid is flat the scan certifies its maximum plus a guard as
+the upper end by one level-set check instead (Mengi & Overton, IMA J.
+Numer. Anal. 25, 2005; Uhlig, Numer. Algorithms 52, 2009): no real theta
+makes that level an eigenvalue of H(theta).
 """
 
 from __future__ import annotations
@@ -36,11 +40,14 @@ class RadiusEstimate:
     """Certified enclosure lower <= w_A(T) <= upper.
 
     theta_star is the (refined) maximizer of f on [0, pi). grid_n is the
-    finest spacing pi / grid_n that the nested, pruned scan reaches: lower
-    comes from the maximum of f over that uniform grid, raised by a parabolic
-    search around its argmax, and upper from the larger of that maximum and
-    the support-line vertices of the finest surviving cells, never above the
-    uniform grid's certificate, which keeps upper <= lower / cos(pi / (2 grid_n)).
+    requested grid: the finest spacing pi / grid_n that the nested, pruned
+    scan may reach, and the scale of its guard. lower comes from the maximum
+    of f over the angles the scan solved, raised by a parabolic search around
+    its argmax. upper comes from the larger of the grid maximum and the
+    support-line vertices of the finest surviving cells, never above the
+    uniform grid's certificate, which keeps upper <= lower / cos(pi / (2 grid_n));
+    or, when the coarsest grid is flat and the level-set check passes, from
+    that grid's maximum plus the guard, 2 guards above lower at most.
     """
 
     lower: float
@@ -161,6 +168,9 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
     at most eps f(x) or peaks within 1e-6 delta of x, or once the bracket is
     4e-6 delta wide. A vertex that close is not worth a step: f'' >= -f for
     a support function, so it gains at most f (1e-6 delta)^2 / 2 over x.
+    An end can beat x by rounding when x is the argmax of a coarser grid, as
+    on a flat profile; a vertex near that end can then round onto it, and
+    such a u only updates the end's value, so that a < x < b holds.
     """
     eps = np.finfo(float).eps
     a, b = x - delta, x + delta
@@ -186,7 +196,7 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
         fu = float(_magnitude(_extremes(op, np.array([u])))[0])
         if fu > best:
             theta_star, best = u, fu
-        if fu > fx:  # u is the new best point; x becomes an end
+        if fu > fx and a < u < b:  # u is the new best point; x becomes an end
             if u < x:
                 b, fb = x, fx
             else:
@@ -197,6 +207,61 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
         else:
             b, fb = u, fu
     return theta_star, best
+
+
+def _level_clear(op: AOperator, gamma: float) -> bool:
+    """True when no real theta makes gamma an eigenvalue of H(theta), given
+    gamma > f(0) = ||H_re||; then f < gamma on all of [0, pi).
+
+    Why that suffices: lambda_max(H(theta)) is continuous on [0, 2 pi), below
+    gamma at theta = 0 and never equal to it, so it stays below gamma, and
+    f(theta) = max(lambda_max(H(theta)), lambda_max(H(theta + pi))).
+    The substitution s = tan(theta / 2) covers every theta but pi, whose
+    H(pi) = -H_re has norm f(0) < gamma. Multiplied by 1 + s^2, H(theta) -
+    gamma I becomes the quadratic pencil (H_re - gamma I) - 2 s H_im -
+    s^2 (H_re + gamma I). H_re + gamma I = L L* is positive definite, and
+    the congruence by L^-1 turns the pencil into B0 + s B1 - s^2 I with
+    B0 = I - 2 gamma L^-1 L^-*, B1 = -2 L^-1 H_im L^-*, whose eigenvalues s
+    are those of the 2r x 2r companion C = [[0, I], [B0, B1]]. A crossing is
+    a real s.
+
+    How far off the real axis a crossing can be computed: eigvals (LAPACK
+    geev, balancing and the QR algorithm) returns the exact eigenvalues of
+    C + E with ||E||_F <= u ||C||_F, u = 2r eps, a modest multiple of the
+    unit roundoff. A real root s0 of multiplicity m moves by about
+    (kappa ||E||)^(1/m), kappa its condition number. A simple crossing thus
+    moves by kappa u ||C||_F, and the two roots that meet where gamma just
+    touches a peak of the profile split by about (u ||C||_F)^(1/2) =: rho,
+    the larger of the two whenever u ||C||_F < 1 and kappa is of order one.
+    The imaginary part of theta = 2 arctan s is atanh(q) with
+    q = 2 |Im s| / (1 + |s|^2), and a root s0 + ds with real s0 has
+    q <= 2 |ds|. So every crossing is computed with q <= tau = 2 rho, and
+    the check passes only when every s has q > tau. A needless fallback costs
+    only a scan; a missed crossing would be a narrow, wrong enclosure, which
+    is why tau takes the square-root law even for simple roots.
+
+    The roots of a level that should pass lie far from that bound. An origin
+    disk W (AT^2 = 0, the shift J_n) makes the spectrum of H(theta) the same
+    at every complex theta, so its roots sit at s = +-i, q = 1, and the
+    rounding spreads them only to q >= 0.14 for J_64 (tau = 1.1e-2 there,
+    where ||C||_F ~ 2 gamma / (gamma - ||H_re||) ~ 1e9). Where gamma lies g
+    above a sharp peak of f, the nearest roots have q ~ (2 g / gamma)^(1/2),
+    since f'' >= -f for a support function: 6.2e-5 for the scan's guard at
+    grid_n = 720. A peak that close to gamma passes only when tau is below
+    that; otherwise the scan falls back to its grid.
+    """
+    r = op.ctx.rank
+    try:
+        chol = np.linalg.cholesky(op.h_re + gamma * np.eye(r))
+    except np.linalg.LinAlgError:  # gamma <= ||H_re|| up to rounding
+        return False
+    inv = np.linalg.inv(chol)
+    b0 = np.eye(r) - (2.0 * gamma) * (inv @ inv.conj().T)
+    b1 = -2.0 * (inv @ op.h_im @ inv.conj().T)
+    companion = np.block([[np.zeros((r, r)), np.eye(r)], [b0, b1]])
+    s = np.linalg.eigvals(companion)
+    tau = 2.0 * math.sqrt(2 * r * np.finfo(float).eps * np.linalg.norm(companion))
+    return bool((2.0 * np.abs(s.imag) > tau * (1.0 + np.abs(s) ** 2)).all())
 
 
 def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> RadiusEstimate:
@@ -218,22 +283,30 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     value is the maximum over the whole uniform grid, and sup f is at most
     the larger of it and the bounds of the surviving finest cells. Those
     cells are a subset of the uniform grid's cells, so ``upper`` is never
-    above the uniform grid's certificate. A profile with nothing to drop (a
-    flat one) evaluates each grid angle exactly once.
+    above the uniform grid's certificate.
+
+    A flat profile prunes nothing, so the first level is tested first: when
+    every value on it is ``tol.close`` to their maximum M > 0, as in
+    ``disk_test``, and ``_level_clear`` finds no angle where f reaches
+    M + guard, the scan stops there with upper = M + guard (the same with
+    or without refinement), 2 guards above lower at most. When the check
+    cannot rule out a crossing, the scan goes on exactly as for any other
+    profile. A first level that is not flat never meets the check.
 
     The grid maximum is a certified lower bound. Refinement, a parabolic
-    search seeded by the grid argmax and its two neighbours (``_polish``,
-    about five single-angle calls), can only raise it and never touches the
-    grid-based upper certificate, since pruning reads grid values only.
+    search seeded by the grid argmax and its two neighbours at spacing
+    pi / grid_n (``_polish``, about five single-angle calls), can only raise
+    it and never touches the upper certificate, which reads grid values
+    only.
 
-    A refining scan that evaluated every grid angle, as on a flat profile,
-    stores its rows of ``_extremes`` in ``op.extremes`` under grid_n, where
-    the grid reads of ``bounds`` and ``range_cloud`` find them; one that
-    pruned stores nothing. It never reads the store, so the enclosure does
-    not depend on what the store held. refine=False is for callers that read
-    only ``upper``, which does not depend on it: the commutator bounds, which
-    scan each operator they build once and never read it again. Such a scan
-    leaves the store alone.
+    A refining scan that evaluated every grid angle stores its rows of
+    ``_extremes`` in ``op.extremes`` under grid_n, where the grid reads of
+    ``bounds`` and ``range_cloud`` find them; one that pruned, or stopped
+    on a flat first level coarser than grid_n, stores nothing. It never
+    reads the store, so the enclosure does not depend on what the store
+    held. refine=False is for callers that read only ``upper``, which does
+    not depend on it: the commutator bounds, which scan each operator they
+    build once and never read it again. Such a scan leaves the store alone.
     """
     grid_n = as_count(grid_n, "grid_n", 4)
     delta = math.pi / grid_n
@@ -250,10 +323,21 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
             rows[index] = lam
         return _magnitude(lam)
 
+    def guard(grid_max: float) -> float:
+        # Of order grid_max / grid_n^2, subtracted from the lower bound and
+        # added to the upper: orders of magnitude above eigh rounding noise
+        # yet far below the certificate width, it absorbs evaluation noise
+        # so that the enclosure stays valid and doubling the grid never
+        # loosens it.
+        return grid_max * (delta / math.pi) ** 2 * 1e-3
+
     vals = np.full(grid_n, -np.inf)  # f at k delta; -inf where not evaluated
     left = new = np.arange(0, grid_n, step)  # left ends of the live cells
-    while True:
-        vals[new] = profile(new)
+    vals[new] = first = profile(new)
+    top = float(first.max())
+    # f >= 0, so every value is close to the maximum when the least one is.
+    flat = top > 0.0 and bool(op.ctx.tol.close(first.min(), top)) and _level_clear(op, top + guard(top))
+    while not flat:
         # f has period pi, so the last cell ends at f(0).
         bounds = _cell_bounds(vals[left], vals[(left + step) % grid_n], step * delta)
         left = left[bounds > vals.max()]
@@ -262,28 +346,25 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
         step //= 2
         new = left + step
         left = np.concatenate([left, new])
+        vals[new] = profile(new)
     j = int(np.argmax(vals))  # ties broken by smallest theta
     grid_max = float(vals[j])
-    # Guard of order grid_max / grid_n^2, subtracted from the lower bound and
-    # added to the upper: orders of magnitude above eigh rounding noise yet
-    # far below the certificate width, it absorbs evaluation noise so that
-    # the enclosure stays valid and doubling the grid never loosens it.
-    guard = grid_max * (delta / math.pi) ** 2 * 1e-3
     theta_star, best = j * delta, grid_max
     if refine:
         if grid_max > 0.0:
             # Seed the polish with the grid's own neighbours of the argmax,
-            # solving in one call whichever of them pruning skipped.
+            # solving in one call whichever of them the scan skipped.
             ends = (j + np.array([-1, 1])) % grid_n
             f_ends = vals[ends]
             skipped = np.isneginf(f_ends)
             if skipped.any():
                 f_ends[skipped] = profile(ends[skipped])
             theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
-        if vals.min() > -np.inf:  # nothing pruned: every row is solved
+        if vals.min() > -np.inf:  # every row is solved
             op.extremes[grid_n] = rows
-    lower = max(best - guard, 0.0)
-    upper = max(max(grid_max, float(bounds.max())) + guard, lower)
+    lower = max(best - guard(grid_max), 0.0)
+    certificate = grid_max if flat else max(grid_max, float(bounds.max()))
+    upper = max(certificate + guard(grid_max), lower)
     return RadiusEstimate(
         lower=lower,
         upper=upper,
@@ -372,7 +453,8 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     pencils on the grid j pi / m, m = n_theta / 2 for even n_theta and
     n_theta for odd, cover every direction. Their lambda_max and lambda_min
     come from the grid read (``_grid_extremes``: none is solved when a grid
-    of size m 2^p is stored, as after a scan of a flat profile), and each
+    of size m 2^p is stored, as after the equality diagnostics' read; a
+    scan that stopped on a flat first level stores none), and each
     vector from two steps of shifted inverse iteration (I. C. F. Ipsen, SIAM
     Review 39, 1997) from a fixed random vector, one batched solve per step:
     with H - sigma I, sigma = lambda_max + 4 r eps ||C|| for a top vector and

@@ -248,9 +248,10 @@ class TestEqualityDiagnostics:
         for grid_n in (8, 180, 360):
             assert equality_diagnostics(scanned, rad, grid_n) == equality_diagnostics(fresh, rad, grid_n)
 
-    def test_flat_profile_reuses_the_whole_grid(self, monkeypatch):
-        # A nilpotent T has a flat profile, so its scan solves all 720 grid
-        # angles and the 180-angle equality grid needs no eigensolve.
+    def test_flat_profile_solves_the_equality_grid_once(self, monkeypatch):
+        # A nilpotent T has a flat profile, so its scan stops at its 45-angle
+        # first level and stores nothing; the equality diagnostics solve
+        # their 180-angle grid once, and a second read solves nothing.
         a, t = gen_instance(InstanceSpec(dim=8, rank_a=5, construction="nilpotent_half", seed=1))
         op = make_a_operator(psd_decompose(a), t)
         rad = radius_theta_scan(op)
@@ -263,7 +264,8 @@ class TestEqualityDiagnostics:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         diags = equality_diagnostics(op, rad)
-        assert counted[0] == 0
+        assert counted[0] == 180
+        assert equality_diagnostics(op, rad) == diags and counted[0] == 180
         assert diags[0].equality_holds and diags[0].re_im_constant and diags[0].disk.is_disk
 
     def test_unattainable_targets_read_no_profile(self, monkeypatch):

@@ -239,8 +239,8 @@ class TestSuite:
     def test_equality_stage_evaluates_one_profile(self, monkeypatch):
         # A random seed-42 instance attains neither equality target, so its
         # equality stage reads no grid, the only way it solves. A nilpotent
-        # one attains both and makes one 180-angle grid read, which its
-        # scan's stored grid serves (a flat profile prunes nothing).
+        # one attains both and makes one 180-angle grid read, which solves
+        # the whole grid once (a flat profile's scan stores nothing).
         solved = [0]
         eigvalsh = np.linalg.eigvalsh
 
@@ -269,7 +269,7 @@ class TestSuite:
                 assert reads == []
                 assert all(d.disk is None and d.re_im_constant is None for d in ev.diagnostics)
             else:
-                assert reads == [(180, 0)]
+                assert reads == [(180, 180)]
                 assert all(d.equality_holds and d.re_im_constant and d.disk.is_disk for d in ev.diagnostics)
 
     def test_unevaluated_profile_under_equality_is_a_violation(self, monkeypatch):

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anumrad import (
+    CONSTRUCTIONS,
     DegenerateRankError,
     InstanceSpec,
     LinAlgInputError,
+    SuiteConfig,
     disk_test,
     gen_instance,
+    is_adjointable,
     make_a_operator,
     phase_profile,
     psd_decompose,
@@ -132,6 +137,16 @@ def support_spectra(op, thetas):
         rotated = np.exp(1j * th) * c
         spectra.append(np.linalg.eigvalsh((rotated + rotated.conj().T) / 2.0))
     return np.array(spectra)
+
+
+def first_level_is_flat(op, grid_n):
+    """Whether the scan's first level, the coarsest grid of grid_n / 2^j >= 32
+    angles, is flat: every value tol.close to their maximum M > 0."""
+    n_coarse = grid_n
+    while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
+        n_coarse //= 2
+    vals = phase_profile(op, np.arange(n_coarse) * (math.pi / n_coarse))
+    return vals.max() > 0.0 and bool(op.ctx.tol.close(vals, vals.max()).all())
 
 
 def record_profile_calls(monkeypatch):
@@ -308,13 +323,138 @@ def test_polish_matches_bracket_oracle(monkeypatch, construction, rank_a, grid_n
 def test_pruned_scan_matches_uniform_reference(construction, rank_a, grid_n):
     # Pruning evaluates a subset of the uniform grid's angles, bit for bit,
     # and keeps a subset of its cells: same lower end, upper never above.
+    # A flat first level (every nilpotent_half instance) is certified by the
+    # level set instead: lower within rounding of the reference's, upper
+    # below the reference's and at most 2 guards above lower.
     for seed in range(3):
         op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=rank_a, construction=construction, seed=seed)))
         rad = radius_theta_scan(op, grid_n)
         lower, upper, theta_star = uniform_reference(op, grid_n)
+        if first_level_is_flat(op, grid_n):
+            assert abs(rad.lower - lower) <= 16 * math.ulp(lower)
+            assert rad.lower <= rad.upper <= upper
+            assert rad.upper - rad.lower <= 2e-3 * rad.upper / grid_n**2 + 4 * math.ulp(rad.upper)
+            continue
         assert rad.lower == lower
         assert rad.theta_star == theta_star
         assert upper - 2 * math.ulp(upper) <= rad.upper <= upper
+
+
+def shift(n):
+    """The shift J_n: w(J_n) = cos(pi / (n + 1)), and W(J_n) is that origin
+    disk (Haagerup & de la Harpe, Proc. AMS 115, 1992)."""
+    return np.diag(np.ones(n - 1), 1).astype(complex)
+
+
+def direct_sum(x, y):
+    out = np.zeros((x.shape[0] + y.shape[0],) * 2, dtype=complex)
+    out[: x.shape[0], : x.shape[0]] = x
+    out[x.shape[0] :, x.shape[0] :] = y
+    return out
+
+
+class TestFlatProfile:
+    """A flat first level is certified by one level-set check: upper is its
+    maximum plus the guard, 2 guards above lower at most, from 45 + 12
+    eigvalsh matrices and one eigvals call at grid 720."""
+
+    @staticmethod
+    def assert_certified(monkeypatch, op, w):
+        counted, calls = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigvals")
+        rad = radius_theta_scan(op)
+        assert counted[0] <= 45 + 12 and calls[0] == 1
+        assert rad.lower <= w <= rad.upper
+        assert rad.upper - rad.lower <= 2e-3 * rad.upper / 720**2 + 4 * math.ulp(rad.upper)
+        assert rad.grid_n == 720 and op.extremes == {}
+        assert radius_theta_scan(op, refine=False).upper == rad.upper
+
+    @pytest.mark.parametrize("n", [2, 8, 33, 64])
+    def test_shift(self, monkeypatch, n):
+        self.assert_certified(monkeypatch, make_op(np.eye(n), shift(n)), math.cos(math.pi / (n + 1)))
+
+    @pytest.mark.parametrize("n", [2, 8, 33, 64])
+    def test_shift_in_the_range_of_a_singular_weight(self, monkeypatch, n):
+        # A = I_n + 0_n: J_n acts on range(A), and w_A(J_n + 0) = w(J_n).
+        a = direct_sum(np.eye(n), np.zeros((n, n)))
+        op = make_op(a, direct_sum(shift(n), np.zeros((n, n))))
+        assert op.ctx.rank == n
+        self.assert_certified(monkeypatch, op, math.cos(math.pi / (n + 1)))
+
+    @pytest.mark.parametrize("dim, rank_a", [(4, 2), (16, 8), (64, 16)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_nilpotent_half(self, monkeypatch, dim, rank_a, seed):
+        # AT^2 = 0 gives w_A(T) = ||T||_A / 2.
+        op = make_op(*gen_instance(InstanceSpec(dim=dim, rank_a=rank_a, construction="nilpotent_half", seed=seed)))
+        self.assert_certified(monkeypatch, op, op.seminorm / 2.0)
+
+
+class TestFlatProfileFallback:
+    """A flat first level whose level-set check finds a crossing goes on as
+    a grid scan. The pinned enclosures are the grid scan's, bit for bit."""
+
+    @staticmethod
+    def scan_falls_back(monkeypatch, op):
+        assert first_level_is_flat(op, 720)
+        counted, calls = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigvals")
+        rad = radius_theta_scan(op)
+        assert calls[0] == 1 and counted[0] > 45 + 12
+        return rad
+
+    def test_bump_between_coarse_angles(self, monkeypatch):
+        # J_2 + lambda at A = I_3: W is the disk of radius 1/2 and the point
+        # lambda, 2e-5 outside it halfway between two coarse angles, where
+        # the 45-angle profile is flat to 3.3e-16.
+        lam = 0.5 * (1 + 2e-5) * np.exp(-1j * math.pi / 360)
+        rad = self.scan_falls_back(monkeypatch, make_op(np.eye(3), direct_sum(JORDAN, np.array([[lam]]))))
+        assert (rad.lower, rad.upper) == (0.5000099990354745, 0.5000100009645254)
+        assert rad.lower <= 0.50001 <= rad.upper
+
+    @pytest.mark.parametrize("phi", [math.pi / 90, math.pi / 180])
+    def test_regular_polygon_off_the_coarse_grid(self, monkeypatch, phi):
+        # The regular 45-gon diag(e^{i (2 pi k / 45 + phi)}): its vertices
+        # lie off the coarse angles, so every coarse value is below w = 1.
+        t = np.diag(np.exp(1j * (2 * math.pi * np.arange(45) / 45 + phi)))
+        rad = self.scan_falls_back(monkeypatch, make_op(np.eye(45), t))
+        assert (rad.lower, rad.upper) == (0.9999999980709878, 1.0000000019290125)
+        assert rad.lower <= 1.0 <= rad.upper
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(2, 8), st.floats(-12.0, -4.0), st.integers(0, 2**32 - 1))
+@example(6, -11.5, 2)  # a fine neighbour of the coarse argmax beats it by rounding
+@example(7, -6.5, 0)  # flat to 1e-6 but not to the guard: the check falls back
+def test_perturbed_shift_upper_covers_the_profile(n, log_eps, seed):
+    # J_n + eps G, G a complex Gaussian, eps log-uniform in [1e-12, 1e-4]:
+    # profiles flat to rounding, flat to equality_rel_tol only, and not flat.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    op = make_op(np.eye(n), shift(n) + 10.0**log_eps * g)
+    rad = radius_theta_scan(op)
+    assert rad.upper >= phase_profile(op, np.linspace(0.0, math.pi, 20_001)).max()
+
+
+def test_level_check_finds_every_crossing_below_the_radius():
+    # Every adjointable instance with lower > 0 of the default suites at
+    # seeds 42 and 7, over the four constructions: gamma = lower (1 - 1e-7)
+    # lies below w_A(T), so some angle reaches it and the check must not
+    # pass. Where gamma is at most f(0) the crossing is at theta = 0 or pi
+    # already; 400 of the 1,200 have gamma above f(0), as the scan calls it.
+    reached = 0
+    for seed in (42, 7):
+        for construction in CONSTRUCTIONS:
+            for spec in SuiteConfig(seed=seed, constructions=(construction,)).instance_specs():
+                a, t = gen_instance(spec)
+                ctx = psd_decompose(a)
+                if not is_adjointable(ctx, t):
+                    continue
+                op = make_a_operator(ctx, t)
+                lower = radius_theta_scan(op).lower
+                if lower <= 0.0:
+                    continue
+                gamma = lower * (1.0 - 1e-7)
+                assert not radius._level_clear(op, gamma)
+                reached += bool(phase_profile(op, 0.0)[0] < gamma)
+    assert reached >= 300
 
 
 class TestCellBounds:
@@ -378,10 +518,12 @@ class TestPruning:
         assert counted[0] <= 240
 
     def test_flat_profile_evaluates_each_angle_once(self, monkeypatch):
+        # A flat first level stops the scan: its 45 angles, each solved once,
+        # and one level-set eigvals call.
         op = make_op(np.eye(2), JORDAN)
-        counted = count_mats(monkeypatch, "eigvalsh")
+        counted, calls = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigvals")
         radius_theta_scan(op, 720, refine=False)
-        assert counted[0] == 720
+        assert counted[0] == 45 and calls[0] == 1
 
     def test_odd_grid_is_one_uniform_level(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -752,28 +894,34 @@ class TestSupportStore:
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.thetas, b.thetas, equal_nan=True)
 
-    def test_flat_profile_scan_leaves_nothing_to_solve(self, monkeypatch):
+    def test_flat_profile_grid_is_solved_once(self, monkeypatch):
+        # A flat profile's scan stops at its first level and stores nothing;
+        # the range cloud solves its 180-angle grid once and the disk test
+        # reads it from the store.
         _, op = self.fresh_and_scanned("nilpotent_half")
+        assert op.extremes == {}
         counted, vectors = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigh")
         range_cloud(op, 360, seed=0)
         disk_test(op, 180)
-        assert counted[0] == 0 and vectors[0] == 0
+        assert counted[0] == 180 and vectors[0] == 0
 
     @pytest.mark.parametrize("grid_n", [720, 1440, 2880])
     def test_size_follows_the_angles_solved(self, grid_n):
         # The store holds whole grids only. A scan that pruned, as on a
         # random operator, stores nothing, and one that does not refine
-        # stores nothing either. A flat profile's scan evaluates every grid
-        # angle and stores exactly its grid, bit-identical to a grid solve;
-        # a second scan changes nothing.
+        # stores nothing either. A flat profile's scan stops at its first
+        # level and stores nothing; a grid read then stores exactly its
+        # grid, bit-identical to a grid solve, and a second scan changes
+        # nothing.
         rng = np.random.default_rng(5)
         op = make_op(np.eye(8), rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
         radius_theta_scan(op, grid_n, refine=False)
         radius_theta_scan(op, grid_n)
         assert op.extremes == {}
         _, flat = self.fresh_and_scanned("nilpotent_half", grid_n)
+        assert flat.extremes == {}
+        rows = radius._grid_extremes(flat, grid_n)
         assert list(flat.extremes) == [grid_n]
-        rows = flat.extremes[grid_n]
         assert np.array_equal(rows, radius._extremes(flat, np.arange(grid_n) * (math.pi / grid_n)))
         radius_theta_scan(flat, grid_n)
         assert list(flat.extremes) == [grid_n] and np.array_equal(flat.extremes[grid_n], rows)
@@ -794,7 +942,10 @@ class TestSupportStore:
 
     @pytest.mark.parametrize("grid_n", [8, 181, 240])
     def test_other_sizes_solve_their_grid_once(self, monkeypatch, grid_n):
+        # The flat profile's scan stores nothing, so the store holds the
+        # 720 grid only once it is read.
         _, op = self.fresh_and_scanned("nilpotent_half")
+        radius._grid_extremes(op, 720)
         counted = count_mats(monkeypatch, "eigvalsh")
         first = radius._grid_extremes(op, grid_n)
         assert counted[0] == grid_n
