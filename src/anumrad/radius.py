@@ -15,6 +15,9 @@ the coarsest grid is flat the scan certifies its maximum plus a guard as
 the upper end by one level-set check instead (Mengi & Overton, IMA J.
 Numer. Anal. 25, 2005; Uhlig, Numer. Algorithms 52, 2009): no real theta
 makes that level an eigenvalue of H(theta).
+
+Whether W is an origin disk is decided by one identity, not a grid
+(``_is_disk``). No operator keeps the angles solved on it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .space import AOperator
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of a side, 0.381966...
 _ENDS = np.array([0, -1])  # the columns of lambda_min and lambda_max in eigvalsh's output
+_DISK_Z = np.array([0.7 + 0.45j, 2.1 + 0.8j])  # the non-real points where _is_disk reads det(H(z) - k I)
 
 
 class DegenerateRankError(LinAlgInputError):
@@ -67,19 +71,11 @@ class RangeCloud:
 
 @dataclass(frozen=True)
 class DiskTestResult:
-    """Verdict of the constant-profile test on a sampled grid.
-
-    is_disk says that f, sampled at the n_theta angles k pi / n_theta,
-    agrees with its mean radius_k within equality_rel_tol. That is necessary
-    for W = W_A(T) to be the origin disk of radius k, not sufficient: f is
-    the support function of conv(W u -W), so a constant f means only that
-    conv(W u -W) is that disk, and between the samples f may vary (a regular
-    polygon with a vertex at each grid angle passes).
-    """
+    """is_disk says that W = W_A(T) is the origin disk of radius radius_k,
+    up to equality_rel_tol, decided without sampling (``_is_disk``)."""
 
     is_disk: bool
     radius_k: float
-    max_deviation: float
 
 
 def _support_pencils(op: AOperator, th: np.ndarray) -> np.ndarray:
@@ -106,28 +102,12 @@ def _magnitude(lam: np.ndarray) -> np.ndarray:
     return np.abs(lam).max(axis=-1)
 
 
-def _grid_extremes(op: AOperator, grid_n: int) -> np.ndarray:
-    """The rows of ``_extremes`` on the uniform grid k pi / grid_n,
-    k = 0..grid_n-1. ``op.extremes`` maps a grid size to such rows. A stored
-    grid of size grid_n 2^p gives them as every 2^p-th row and solves
-    nothing, since k (pi / grid_n) equals (k 2^p) (pi / (grid_n 2^p)) bit for
-    bit; otherwise all grid_n angles are solved in one batched eigvalsh and
-    stored under grid_n."""
-    for size, lam in op.extremes.items():
-        step, rest = divmod(size, grid_n)
-        if rest == 0 and step & (step - 1) == 0:
-            return lam[::step]
-    lam = op.extremes[grid_n] = _extremes(op, np.arange(grid_n) * (math.pi / grid_n))
-    return lam
-
-
 def phase_profile(op: AOperator, thetas) -> np.ndarray:
     """f(theta) = ||Re_A(e^{i theta}T)||_A evaluated on an array of angles.
 
     In range(A) coordinates this is the spectral norm of the r x r Hermitian
     pencil cos(theta) H_re - sin(theta) H_im, evaluated batched; f = 0 when
-    rank(A) = 0. thetas is 0-d or 1-d and finite, else LinAlgInputError. It
-    always solves: only the grid reads go through the store.
+    rank(A) = 0. thetas is 0-d or 1-d and finite, else LinAlgInputError.
     """
     th = np.atleast_1d(np.asarray(thetas, dtype=float))
     if th.ndim != 1:
@@ -299,14 +279,9 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     it and never touches the upper certificate, which reads grid values
     only.
 
-    A refining scan that evaluated every grid angle stores its rows of
-    ``_extremes`` in ``op.extremes`` under grid_n, where the grid reads of
-    ``bounds`` and ``range_cloud`` find them; one that pruned, or stopped
-    on a flat first level coarser than grid_n, stores nothing. It never
-    reads the store, so the enclosure does not depend on what the store
-    held. refine=False is for callers that read only ``upper``, which does
-    not depend on it: the commutator bounds, which scan each operator they
-    build once and never read it again. Such a scan leaves the store alone.
+    refine=False is for callers that read only ``upper``, which does not
+    depend on it: the commutator bounds, which scan each operator they
+    build once and skip the polish.
     """
     grid_n = as_count(grid_n, "grid_n", 4)
     delta = math.pi / grid_n
@@ -314,14 +289,9 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
         n_coarse //= 2
     step = grid_n // n_coarse
-    rows = np.empty((grid_n, 2)) if refine else None  # a refining scan's rows of _extremes
 
     def profile(index: np.ndarray) -> np.ndarray:
-        """f at the grid angles index, none of them asked for before."""
-        lam = _extremes(op, index * delta)
-        if refine:
-            rows[index] = lam
-        return _magnitude(lam)
+        return _magnitude(_extremes(op, index * delta))
 
     def guard(grid_max: float) -> float:
         # Of order grid_max / grid_n^2, subtracted from the lower bound and
@@ -350,18 +320,15 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     j = int(np.argmax(vals))  # ties broken by smallest theta
     grid_max = float(vals[j])
     theta_star, best = j * delta, grid_max
-    if refine:
-        if grid_max > 0.0:
-            # Seed the polish with the grid's own neighbours of the argmax,
-            # solving in one call whichever of them the scan skipped.
-            ends = (j + np.array([-1, 1])) % grid_n
-            f_ends = vals[ends]
-            skipped = np.isneginf(f_ends)
-            if skipped.any():
-                f_ends[skipped] = profile(ends[skipped])
-            theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
-        if vals.min() > -np.inf:  # every row is solved
-            op.extremes[grid_n] = rows
+    if refine and grid_max > 0.0:
+        # Seed the polish with the grid's own neighbours of the argmax,
+        # solving in one call whichever of them the scan skipped.
+        ends = (j + np.array([-1, 1])) % grid_n
+        f_ends = vals[ends]
+        skipped = np.isneginf(f_ends)
+        if skipped.any():
+            f_ends[skipped] = profile(ends[skipped])
+        theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
     lower = max(best - guard(grid_max), 0.0)
     certificate = grid_max if flat else max(grid_max, float(bounds.max()))
     upper = max(certificate + guard(grid_max), lower)
@@ -452,9 +419,7 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     the bottom eigenvector of H(theta) serves the direction theta + pi, so the
     pencils on the grid j pi / m, m = n_theta / 2 for even n_theta and
     n_theta for odd, cover every direction. Their lambda_max and lambda_min
-    come from the grid read (``_grid_extremes``: none is solved when a grid
-    of size m 2^p is stored, as after the equality diagnostics' read; a
-    scan that stopped on a flat first level stores none), and each
+    come from one batched eigvalsh of that grid (``_extremes``), and each
     vector from two steps of shifted inverse iteration (I. C. F. Ipsen, SIAM
     Review 39, 1997) from a fixed random vector, one batched solve per step:
     with H - sigma I, sigma = lambda_max + 4 r eps ||C|| for a top vector and
@@ -478,10 +443,11 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     if norm == 0.0:
         boundary = np.zeros(n_theta, dtype=complex)
     else:
-        lam = _grid_extremes(op, m)[pencil]
+        grid = np.arange(m) * (math.pi / m)
+        lam = _extremes(op, grid)[pencil]
         margin = 4 * ctx.rank * np.finfo(float).eps * norm
         shift = np.where(top, lam[:, 1] + margin, lam[:, 0] - margin)
-        h = _support_pencils(op, np.arange(m) * (math.pi / m))[pencil]
+        h = _support_pencils(op, grid)[pencil]
         h -= shift[:, None, None] * np.eye(ctx.rank)
         # A fixed random start, as LAPACK's inverse iteration uses: the
         # constant vector is orthogonal to eigenvectors such as (1, -1), the
@@ -507,20 +473,52 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     )
 
 
-def disk_test(op: AOperator, n_theta: int = 360) -> DiskTestResult:
-    """Whether f is constant at its n_theta grid angles k pi / n_theta.
+def _is_disk(op: AOperator, k: float, rad: RadiusEstimate | None = None) -> bool:
+    """Whether W = W_A(T) is the origin disk of radius k, to within
+    tol = equality_rel_tol, decided by an identity rather than a grid.
 
-    f is the support function of conv(W u -W), not of W = W_A(T), and is
-    read only at the grid angles, so a True verdict is evidence for W being
-    an origin disk, not a proof: at A = I, T = diag(e^{i pi j / 8}),
-    j = 0..15 (W a regular 16-gon) passes at n_theta = 8 and fails at 360.
+    lambda_max(H(theta)) is the support function of W, and the eigenvalues
+    of the Hermitian family H(theta) are r branches analytic in theta
+    (Kato, Perturbation Theory for Linear Operators, ch. II sec. 6). So
+    lambda_max = k throughout puts one branch at k at infinitely many
+    angles, hence everywhere, and the entire p(z) = det(H(z) - k I)
+    vanishes identically; conversely p = 0 puts a branch, hence lambda_max,
+    at k or above everywhere. W is thus the disk exactly when (i) w_A(T) <= k
+    and (ii) p = 0, as for J_n (Haagerup & de la Harpe, Proc. AMS 115, 1992).
+
+    (i) is read as w_A(T) <= k (1 + tol): False when rad.lower exceeds that
+    level, True when rad.upper does not, else ``_level_clear`` decides; a
+    k < 0 fails, as w_A(T) >= 0. (ii) is read at two non-real z, since at
+    a real z p vanishes wherever a branch crosses k, as at the maximizer of
+    f when w_A(T) = k. A p that is not 0 is a trigonometric polynomial with
+    finitely many zeros per period strip, so it vanishes at a fixed
+    non-real z only by coincidence, and needing two unrelated points lets
+    no single coincidence pass. p(z) = 0 is read as sigma_min <= tol
+    sigma_max for H(z) - k I: forming it and its SVD round by a few
+    r eps ||H(z) - k I||, and singular values move no further (Weyl),
+    however ill-conditioned the eigenvalue k is (for J_64 the similarity
+    that diagonalizes H(z) has condition about e^50), far below tol. tol, not a rounding bound, makes the verdict measure nearness
+    as ``equality_holds`` does: for J_2 + eps G both read of order eps, and a
+    rounding threshold would deny the disk at eps = 1e-9 while equality held.
+
+    k = 0: W = {0} exactly when C = 0, as for rank(A) = 0, and
+    op.seminorm == 0.0 decides without a solve.
     """
-    n_theta = as_count(n_theta, "n_theta", 8)
-    return _disk_verdict(op, _magnitude(_grid_extremes(op, n_theta)))
+    if k == 0.0:
+        return op.seminorm == 0.0
+    tol = op.ctx.tol.equality_rel_tol
+    level = k * (1.0 + tol)
+    if rad is not None and rad.lower > level:
+        return False
+    if (rad is None or rad.upper > level) and not _level_clear(op, level):
+        return False
+    s = np.linalg.svd(_support_pencils(op, _DISK_Z) - k * np.eye(op.ctx.rank), compute_uv=False)
+    return bool((s[:, -1] <= tol * s[:, 0]).all())
 
 
-def _disk_verdict(op: AOperator, vals: np.ndarray) -> DiskTestResult:
-    """Disk verdict from profile values on a uniform grid over [0, pi)."""
-    radius_k = float(vals.mean())
-    max_dev = float(np.abs(vals - radius_k).max())
-    return DiskTestResult(bool(op.ctx.tol.close(vals, radius_k).all()), radius_k, max_dev)
+def disk_test(op: AOperator) -> DiskTestResult:
+    """Whether W_A(T) is the origin disk of radius radius_k =
+    lambda_max(H_re), the support function of W_A(T) at theta = 0
+    (``_is_disk``); radius_k = 0 when rank(A) = 0."""
+    k = float(_extremes(op, np.zeros(1))[0, 1])
+    return DiskTestResult(_is_disk(op, k), k)

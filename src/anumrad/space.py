@@ -165,16 +165,13 @@ class AOperator:
     is the product of the factors' (``bounds._commutator_radius``). Its parts
     ``h_re``/``h_im`` (the compressions of Re_A(T), Im_A(T)), the norms and
     the n x n ``sharp`` = A+ T* A, ``re_a``, ``im_a`` are cached on first read.
-    ``extremes`` is a dict, filled by ``radius``, from a grid size N to the
-    support-pencil eigenvalues solved on the whole grid k pi / N: by a grid
-    read, or by a refining scan that solved every grid angle. A scan that
-    pruned, or stopped on a flat first level, leaves it alone.
+    No eigenvalue of the support pencils is kept: each caller solves the
+    angles it reads.
     """
 
     ctx: PsdContext
     t: np.ndarray
     compressed: np.ndarray = field(repr=False)
-    extremes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def sharp(self) -> np.ndarray:

@@ -32,6 +32,14 @@ from anumrad.linalg import TolerancePolicy
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SQRT2 = math.sqrt(2.0)
+# W is the regular 16-gon, half of it (its vertices j = 0..8), and the disk
+# W(J_2) with the point lambda = (1 + 2e-5) e^{-i pi / 360} / 2 just outside.
+_BUMP = np.diag([0.0, 0.0, 0.5 * (1 + 2e-5) * np.exp(-1j * math.pi / 360)]) + np.diag([1.0, 0.0], 1)
+NEAR_DISKS = {
+    "16-gon": (np.eye(16), np.diag(np.exp(1j * math.pi * np.arange(16) / 8))),
+    "half-octagon": (np.eye(9), np.diag(np.exp(1j * math.pi * np.arange(9) / 8))),
+    "bump": (np.eye(3), _BUMP),
+}
 
 
 def prepared(a, t):
@@ -39,16 +47,16 @@ def prepared(a, t):
     return op, radius_theta_scan(op)
 
 
-def count_eigvalsh(monkeypatch):
-    """Patch np.linalg.eigvalsh to count the matrices it is given."""
+def count_mats(monkeypatch, name="eigvalsh"):
+    """Patch np.linalg.<name> to count the matrices it is given."""
     counted = [0]
-    eigvalsh = np.linalg.eigvalsh
+    solver = getattr(np.linalg, name)
 
     def counting(m, *args, **kwargs):
         counted[0] += int(np.prod(np.shape(m)[:-2]))
-        return eigvalsh(m, *args, **kwargs)
+        return solver(m, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return counted
 
 
@@ -164,13 +172,13 @@ class TestEqualityDiagnostics:
         assert diag.target == pytest.approx(0.5, rel=1e-12)
 
     def test_selfadjoint_half_norm_fails(self):
-        # w = 1 is above both targets, so the profile is not read; it is
-        # |cos|, which disk_test finds not constant
+        # w = 1 lies above the target 1/2, which the enclosure shows alone;
+        # f = |cos| is not constant, and disk_test agrees
         op, rad = prepared(np.eye(2), np.diag([1.0, -1.0]))
         diag = equality_half_norm(op, rad)
         assert not diag.equality_holds
-        assert diag.re_im_constant is None and diag.disk is None
-        assert not disk_test(op, 180).is_disk
+        assert diag.re_im_constant is False and diag.disk.is_disk is False
+        assert not disk_test(op).is_disk
 
     def test_jordan_quarter_form_case(self):
         op, rad = prepared(np.eye(2), JORDAN)
@@ -191,22 +199,32 @@ class TestEqualityDiagnostics:
         diag = equality_diagnostics(op, rad)[1]
         assert diag.target == pytest.approx(1.0 / SQRT2, rel=1e-12)
         assert not diag.equality_holds
-        assert diag.re_im_constant is None and diag.disk is None
-        assert not disk_test(op, 180).is_disk
+        assert diag.re_im_constant is False and diag.disk.is_disk is False
+        assert not disk_test(op).is_disk
 
-    def test_jordan_verdicts_on_small_even_grid(self):
-        op, rad = prepared(np.eye(2), JORDAN)
-        for diag in (equality_half_norm(op, rad, 8), equality_diagnostics(op, rad, 8)[1]):
-            assert diag.equality_holds and diag.re_im_constant and diag.disk.is_disk
+    def test_jordan_verdicts_on_small_even_grid(self, monkeypatch):
+        # At grid_n = 8 the guard, 1.6e-5 of w, exceeds equality_rel_tol, so
+        # the enclosure shows neither equality nor w <= k (1 + tol); the
+        # level-set check shows the latter, and W(J_2) is still the disk.
+        op = make_a_operator(psd_decompose(np.eye(2)), JORDAN)
+        rad = radius_theta_scan(op, 8)
+        checks = count_mats(monkeypatch, "eigvals")
+        for diag in equality_diagnostics(op, rad):
+            assert rad.lower < diag.target < rad.upper
+            assert not diag.equality_holds and diag.re_im_constant and diag.disk.is_disk
+        assert checks[0] == 2
 
     @pytest.mark.parametrize("t", [JORDAN, np.diag([1.0, -1.0]), np.diag([1.0 + 1.0j, 0.0])])
     def test_pair_matches_single_diagnostics(self, t):
         op, rad = prepared(np.eye(2), t)
+        pair = equality_diagnostics(op, rad)
+        # equality_half_norm ignores its grid argument
         for grid_n in (8, 180):
-            pair = equality_diagnostics(op, rad, grid_n)
             assert pair[0] == equality_half_norm(op, rad, grid_n)
-            assert [d.case_id for d in pair] == ["half_norm", "quarter_form"]
-            assert pair[1].target == math.sqrt(op.form_norm / 4.0)
+        assert [d.case_id for d in pair] == ["half_norm", "quarter_form"]
+        assert pair[1].target == math.sqrt(op.form_norm / 4.0)
+        for d in pair:
+            assert d.re_im_constant == d.disk.is_disk and d.disk.radius_k == d.target
 
     def test_half_norm_converse_witness(self):
         # ||Re_A T||_A = ||Im_A T||_A = ||T||_A / 2 at theta = 0 does not force
@@ -222,82 +240,81 @@ class TestEqualityDiagnostics:
         assert rad.lower <= 0.45 * SQRT2 <= rad.upper
         assert not equality_diagnostics(op, rad)[0].equality_holds
 
-    @pytest.mark.parametrize("grid_n", [181, 9, 6])
-    def test_rejects_odd_or_tiny_grid(self, grid_n):
-        op, rad = prepared(np.eye(2), JORDAN)
-        with pytest.raises(ValueError):
-            equality_half_norm(op, rad, grid_n)
-        with pytest.raises(ValueError):
-            equality_diagnostics(op, rad, grid_n)
+    @pytest.mark.parametrize("case", ["16-gon", "half-octagon", "bump"])
+    def test_near_disks_are_not_disks(self, case):
+        # W is a polygon or a disk with a point just outside: no target is a
+        # disk radius, although the former grid verdict passed each of them
+        op, rad = prepared(*NEAR_DISKS[case])
+        for diag in equality_diagnostics(op, rad):
+            assert not diag.equality_holds and not diag.re_im_constant and not diag.disk.is_disk
 
-    @pytest.mark.parametrize("grid_n", [180.0, 181.5, True, "180"])
-    def test_rejects_non_integer_grid(self, grid_n):
-        op, rad = prepared(np.eye(2), JORDAN)
-        with pytest.raises(TypeError, match="grid_n must be an integer"):
-            equality_diagnostics(op, rad, grid_n)
-
-    def test_default_grid_is_the_suite_grid(self):
-        op, rad = prepared(np.eye(2), np.diag([1.0 + 1.0j, 0.0]))
-        assert equality_diagnostics(op, rad) == equality_diagnostics(op, rad, 180)
+    @pytest.mark.parametrize("eps, near", [(1e-9, True), (1e-7, True), (1e-5, False)])
+    def test_near_equality_reads_like_equality_holds(self, eps, near):
+        # T = J_2 + eps G: lower / k - 1 and the sigma_min / sigma_max of
+        # H(z) - k I are both of order eps, so the two verdicts agree at
+        # equality_rel_tol = 1e-6. A threshold of a few rounding units
+        # would call eps = 1e-9 no disk while its equality held, and the
+        # suite would report that as a violation.
+        rng = np.random.default_rng(0)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        op, rad = prepared(np.eye(2), JORDAN + eps * g)
+        for diag in equality_diagnostics(op, rad):
+            assert diag.equality_holds is near and diag.disk.is_disk is near
+        assert all(report.holds for report in inequality_reports(op, rad)[0])
 
     @pytest.mark.parametrize("construction", ["random", "nilpotent_half", "shared_eigenbasis_selfadjoint"])
     def test_scanned_operator_gives_the_fresh_diagnostics(self, construction):
         spec = InstanceSpec(dim=6, rank_a=4, construction=construction, seed=4)
         fresh, scanned = (make_a_operator(psd_decompose(a), t) for a, t in [gen_instance(spec)] * 2)
         rad = radius_theta_scan(scanned)
-        for grid_n in (8, 180, 360):
-            assert equality_diagnostics(scanned, rad, grid_n) == equality_diagnostics(fresh, rad, grid_n)
+        assert equality_diagnostics(scanned, rad) == equality_diagnostics(fresh, rad)
 
-    def test_flat_profile_solves_the_equality_grid_once(self, monkeypatch):
-        # A nilpotent T has a flat profile, so its scan stops at its 45-angle
-        # first level and stores nothing; the equality diagnostics solve
-        # their 180-angle grid once, and a second read solves nothing.
+    def test_flat_profile_solves_no_equality_grid(self, monkeypatch):
+        # A nilpotent T has a flat profile: its enclosure shows w <= k (1 +
+        # tol) for both targets, so each verdict costs one batched SVD of two
+        # r x r matrices and no eigensolve.
         a, t = gen_instance(InstanceSpec(dim=8, rank_a=5, construction="nilpotent_half", seed=1))
         op = make_a_operator(psd_decompose(a), t)
         rad = radius_theta_scan(op)
-        counted = [0]
-        eigvalsh = np.linalg.eigvalsh
-
-        def counting(m, *args, **kwargs):
-            counted[0] += int(np.prod(np.shape(m)[:-2]))
-            return eigvalsh(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        _ = op.seminorm, op.form_norm  # the targets' norms, cached before counting
+        counted, checks, svds = (count_mats(monkeypatch, name) for name in ("eigvalsh", "eigvals", "svd"))
         diags = equality_diagnostics(op, rad)
-        assert counted[0] == 180
-        assert equality_diagnostics(op, rad) == diags and counted[0] == 180
-        assert diags[0].equality_holds and diags[0].re_im_constant and diags[0].disk.is_disk
+        assert (counted[0], checks[0], svds[0]) == (0, 0, 4)
+        assert all(d.equality_holds and d.re_im_constant and d.disk.is_disk for d in diags)
 
     def test_unattainable_targets_read_no_profile(self, monkeypatch):
         # T = diag(1 + i, 0): w = sqrt 2 against the targets sqrt 2 / 2 and
-        # 1, neither attainable, so nothing is solved and both profile
-        # fields serialize as null ("not evaluated")
+        # 1, both below the enclosure, so nothing is solved and both
+        # verdicts serialize as false
         op, rad = prepared(np.eye(2), np.diag([1.0 + 1.0j, 0.0]))
-        counted = count_eigvalsh(monkeypatch)
+        _ = op.seminorm, op.form_norm  # the targets' norms, cached before counting
+        counted, checks, svds = (count_mats(monkeypatch, name) for name in ("eigvalsh", "eigvals", "svd"))
         pair = equality_diagnostics(op, rad)
-        assert counted[0] == 0
+        assert (counted[0], checks[0], svds[0]) == (0, 0, 0)
         for diag in pair:
-            assert not rad.lower <= diag.target <= rad.upper
+            assert diag.target < rad.lower
             out = json.loads(json.dumps(to_dict(diag)))
             assert out["equality_holds"] is False
-            assert out["re_im_constant"] is None and out["disk"] is None
+            assert out["re_im_constant"] is False
+            assert out["disk"] == {"is_disk": False, "radius_k": diag.target}
 
     def test_target_inside_the_enclosure_reads_the_profile(self):
         # T = diag(1, -1) (w = 1) against a wide enclosure [0.4, 0.6]: the
         # half-norm target 1/2 lies in it without equality_holds, so the
-        # profile |cos| is read for both diagnostics, and it is not flat
+        # level-set check reads the profile |cos| for both diagnostics, and
+        # finds it above each target
         op, _ = prepared(np.eye(2), np.diag([1.0, -1.0]))
         wide = RadiusEstimate(lower=0.4, upper=0.6, theta_star=0.0, grid_n=720)
         for diag in equality_diagnostics(op, wide):
             assert not diag.equality_holds
             assert diag.re_im_constant is False
-            assert diag.disk is not None and not diag.disk.is_disk
+            assert not diag.disk.is_disk
 
     def test_serialized_keys(self):
         op, rad = prepared(np.eye(2), JORDAN)
         out = to_dict(equality_half_norm(op, rad))
         assert list(out) == ["case_id", "equality_holds", "re_im_constant", "disk", "target"]
-        assert list(out["disk"]) == ["is_disk", "radius_k", "max_deviation"]
+        assert list(out["disk"]) == ["is_disk", "radius_k"]
         assert out["case_id"] == "half_norm"
         assert out["disk"]["is_disk"] is True
         assert json.loads(json.dumps(out)) == out
@@ -477,7 +494,7 @@ def test_attaining_commutator_is_still_scanned(monkeypatch):
     ctx = psd_decompose(np.diag([1.0, 0.0]))
     op_t, op_s = make_a_operator(ctx, np.diag([3.0, 0.0])), make_a_operator(ctx, np.diag([s, 0.0]))
     rad_t = radius_theta_scan(op_t)
-    counted = count_eigvalsh(monkeypatch)
+    counted = count_mats(monkeypatch)
     reports = {(i // 3, r.formula_id): r for i, r in enumerate(commutator_th5(op_t, op_s, op_s, rad_t))}
     assert counted[0] > 0
     for fid in ("lem1", "th5_i"):

@@ -260,6 +260,18 @@ class TestVerify:
         assert "n_samples" not in payload["config"]
         assert all("witness_value" in inst and "sampled" not in inst for inst in payload["instances"])
 
+    @pytest.mark.parametrize("construction, disk", [("nilpotent_half", True), (None, False)])
+    def test_disk_verdicts_are_never_null(self, tmp_path, construction, disk):
+        # AT^2 = 0 makes W_A(T) the origin disk of both targets; the default
+        # random construction never does.
+        out = tmp_path / "suite.json"
+        flags = ["--construction", construction] if construction else []
+        assert main(["verify", *flags, "--n", "14", "--out", str(out)]) == EXIT_OK
+        diagnostics = [d for inst in json.loads(out.read_text())["instances"] for d in inst["diagnostics"]]
+        assert len(diagnostics) == 28
+        assert all(d["re_im_constant"] is disk and d["disk"]["is_disk"] is disk for d in diagnostics)
+        assert all(d["disk"]["radius_k"] == d["target"] for d in diagnostics)
+
     def test_dims_list_syntax(self, tmp_path):
         out = tmp_path / "suite.json"
         args = ["verify", "--n", "4", "--dims", "2,4", "--out", str(out)]

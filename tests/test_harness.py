@@ -236,11 +236,10 @@ class TestSuite:
         assert all(ev.adjointable for ev in report.evaluations)
         assert all(ev.rad.lower <= ev.rad.upper for ev in report.evaluations)
 
-    def test_equality_stage_evaluates_one_profile(self, monkeypatch):
-        # A random seed-42 instance attains neither equality target, so its
-        # equality stage reads no grid, the only way it solves. A nilpotent
-        # one attains both and makes one 180-angle grid read, which solves
-        # the whole grid once (a flat profile's scan stores nothing).
+    def test_equality_stage_solves_no_profile(self, monkeypatch):
+        # A random seed-42 instance lies above both equality targets and a
+        # nilpotent one attains both; the enclosure shows that, and neither
+        # equality stage solves an eigenvalue problem.
         solved = [0]
         eigvalsh = np.linalg.eigvalsh
 
@@ -249,46 +248,58 @@ class TestSuite:
             return eigvalsh(a, *args, **kwargs)
 
         reads = []
-        grid_extremes = bounds._grid_extremes
+        diagnostics = harness.equality_diagnostics
 
-        def recording(op, grid_n):
+        def recording(op, rad):
             before = solved[0]
-            lam = grid_extremes(op, grid_n)
-            reads.append((grid_n, solved[0] - before))
-            return lam
+            out = diagnostics(op, rad)
+            reads.append(solved[0] - before)
+            return out
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        monkeypatch.setattr(bounds, "_grid_extremes", recording)
+        monkeypatch.setattr(harness, "equality_diagnostics", recording)
         config = SuiteConfig(n_instances=14, seed=42, constructions=("random", "nilpotent_half"))
         assert [s.dim for s in config.instance_specs()] == list(range(2, 9)) * 2
         for i, spec in enumerate(config.instance_specs()):
             reads.clear()
             ev = evaluate_instance(spec, config, index=i)
-            assert ev.adjointable
-            if spec.construction == "random":
-                assert reads == []
-                assert all(d.disk is None and d.re_im_constant is None for d in ev.diagnostics)
-            else:
-                assert reads == [(180, 180)]
-                assert all(d.equality_holds and d.re_im_constant and d.disk.is_disk for d in ev.diagnostics)
+            assert ev.adjointable and reads == [0]
+            nilpotent = spec.construction == "nilpotent_half"
+            assert all(d.equality_holds == d.re_im_constant == d.disk.is_disk == nilpotent for d in ev.diagnostics)
 
-    def test_unevaluated_profile_under_equality_is_a_violation(self, monkeypatch):
-        # The necessity check never passes on a profile it did not read.
+    def test_false_disk_under_equality_is_a_violation(self, monkeypatch):
+        # An equality whose disk verdict is False fails the necessity check.
         diagnostics = bounds.equality_diagnostics
 
-        def unread(op, rad):
+        def no_disk(op, rad):
             return tuple(
-                dataclasses.replace(d, equality_holds=True, re_im_constant=None, disk=None)
+                dataclasses.replace(
+                    d, equality_holds=True, re_im_constant=False, disk=dataclasses.replace(d.disk, is_disk=False)
+                )
                 for d in diagnostics(op, rad)
             )
 
-        monkeypatch.setattr(harness, "equality_diagnostics", unread)
+        monkeypatch.setattr(harness, "equality_diagnostics", no_disk)
         spec = SuiteConfig(n_instances=1, seed=42).instance_specs()[0]
         ev = evaluate_instance(spec, SuiteConfig(n_instances=1, seed=42))
         assert ev.violations == [
             "[0] equality half_norm without its necessity conditions",
             "[0] equality quarter_form without its necessity conditions",
         ]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("construction", ["random", "nilpotent_half", "shared_eigenbasis_selfadjoint"])
+    def test_disk_verdict_agrees_with_equality(self, seed, construction):
+        # Both directions of the equality characterization on the suite's
+        # own instances: equality_holds exactly when W_A(T) is the disk of
+        # the target. Not a suite check, since at a coarse grid_n the guard
+        # can exceed equality_rel_tol and hide an equality that holds.
+        config = SuiteConfig(seed=seed, constructions=(construction,))
+        for spec in config.instance_specs()[:40]:
+            a, t = gen_instance(spec)
+            op = make_a_operator(psd_decompose(a), t)
+            for diag in bounds.equality_diagnostics(op, radius_theta_scan(op, config.grid_n)):
+                assert diag.re_im_constant == diag.disk.is_disk == diag.equality_holds, (spec, diag)
 
     @pytest.mark.parametrize(
         "change, failed",

@@ -22,7 +22,6 @@ from anumrad import (
     commutator_th5,
     disk_test,
     equality_diagnostics,
-    equality_half_norm,
     gen_instance,
     gen_partner,
     is_adjointable,
@@ -58,14 +57,10 @@ def _verdicts(a, t, seed):
     reports = _lower_bounds(op, rad)
     op_x, op_y = gen_partner(ctx, [seed, 2]), gen_partner(ctx, [seed, 3])
     reports += commutator_th5(op, op_x, op_y, rad)
-    diags = [equality_half_norm(op, rad, 180), equality_diagnostics(op, rad, 180)[1]]
     verdicts = {
         "adjointable": is_adjointable(ctx, t),
         "reports": [(r.formula_id, r.holds, r.tight) for r in reports],
-        # an unread profile (None) is a verdict value of its own
-        "diagnostics": [
-            (d.equality_holds, d.re_im_constant, None if d.disk is None else d.disk.is_disk) for d in diags
-        ],
+        "diagnostics": [(d.equality_holds, d.re_im_constant, d.disk.is_disk) for d in equality_diagnostics(op, rad)],
         "disk": disk_test(op).is_disk,
     }
     return verdicts, np.array([r.slack / r.scale for r in reports])
@@ -149,6 +144,22 @@ def test_unitary_similarity(construction, n, rank):
     assert abs(rad_u.lower - rad.lower) <= 1e-12 * rad.upper
     assert abs(rad_u.upper - rad.upper) <= 1e-12 * rad.upper
     assert holds_u == holds
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shift_stays_a_disk(n):
+    # W(J_n) is the origin disk of radius cos(pi / (n + 1)). A unitary
+    # similarity at A = I keeps it; so does the exact congruence A = D^2,
+    # T = D^-1 J_n D with D = diag(2^-e), e in [-8, 0] in random order,
+    # mild enough that rank(A) is not in question.
+    rng = np.random.default_rng(n)
+    j = np.diag(np.ones(n - 1), 1).astype(complex)
+    u = _random_unitary(rng, n)
+    exponents = rng.permutation(np.round(np.linspace(-8.0, 0.0, n)))
+    for a, t in ((np.eye(n), u @ j @ u.conj().T), _congruence(np.eye(n), j, exponents)):
+        disk = disk_test(make_a_operator(psd_decompose(a), t))
+        assert disk.is_disk
+        assert abs(disk.radius_k - math.cos(math.pi / (n + 1))) <= 1e-12
 
 
 EXACT = settings(derandomize=True, deadline=None, max_examples=40)

@@ -33,7 +33,7 @@ def serialized_objects():
     config = SuiteConfig(n_instances=1)
     spec = InstanceSpec(dim=4, rank_a=3, construction="nilpotent_half", seed=5)
     ev = evaluate_instance(spec, config)
-    disk = DiskTestResult(np.bool_(True), np.float64(0.5), np.float64(1e-17))
+    disk = DiskTestResult(np.bool_(True), np.float64(0.5))
     return [
         config,
         spec,
@@ -43,7 +43,7 @@ def serialized_objects():
         *ev.diagnostics,
         BoundReport("eqv_lower", np.float64(0.5), 0.5, np.float64(0.0), np.bool_(True), np.bool_(True), 0.5),
         EqualityDiagnostic("half_norm", np.bool_(False), np.bool_(True), disk, np.float64(0.5)),
-        EqualityDiagnostic("quarter_form", False, None, None, 0.25),
+        EqualityDiagnostic("quarter_form", False, False, DiskTestResult(False, 0.25), 0.25),
     ]
 
 

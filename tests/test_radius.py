@@ -353,6 +353,15 @@ def direct_sum(x, y):
     return out
 
 
+# W is the regular 16-gon, half of it (its vertices j = 0..8), and the disk
+# W(J_2) with the point lambda = (1 + 2e-5) e^{-i pi / 360} / 2 just outside.
+NEAR_DISKS = {
+    "16-gon": (np.eye(16), np.diag(np.exp(1j * math.pi * np.arange(16) / 8))),
+    "half-octagon": (np.eye(9), np.diag(np.exp(1j * math.pi * np.arange(9) / 8))),
+    "bump": (np.eye(3), direct_sum(JORDAN, np.array([[0.5 * (1 + 2e-5) * np.exp(-1j * math.pi / 360)]]))),
+}
+
+
 class TestFlatProfile:
     """A flat first level is certified by one level-set check: upper is its
     maximum plus the guard, 2 guards above lower at most, from 45 + 12
@@ -365,8 +374,11 @@ class TestFlatProfile:
         assert counted[0] <= 45 + 12 and calls[0] == 1
         assert rad.lower <= w <= rad.upper
         assert rad.upper - rad.lower <= 2e-3 * rad.upper / 720**2 + 4 * math.ulp(rad.upper)
-        assert rad.grid_n == 720 and op.extremes == {}
+        assert rad.grid_n == 720
         assert radius_theta_scan(op, refine=False).upper == rad.upper
+        # W is the origin disk of radius w: lambda_max(H_re) = w
+        disk = disk_test(op)
+        assert disk.is_disk and abs(disk.radius_k - w) <= 1e-12 * w
 
     @pytest.mark.parametrize("n", [2, 8, 33, 64])
     def test_shift(self, monkeypatch, n):
@@ -873,8 +885,10 @@ class TestRangeCloud:
 
 
 class TestSupportStore:
-    """Grid reads reuse the support-pencil eigenvalues an operator has
-    solved, with outputs bit-identical to a fresh operator's."""
+    """An operator keeps none of the grids solved on it, so a scan leaves
+    nothing behind that changes a later read: disk_test and range_cloud
+    give a scanned operator's outputs bit for bit as a fresh one's, and
+    each solves its own angles."""
 
     @staticmethod
     def fresh_and_scanned(construction, grid_n=720):
@@ -887,71 +901,24 @@ class TestSupportStore:
     @pytest.mark.parametrize("grid_n", [720, 90, 181])
     def test_disk_and_cloud_as_on_a_fresh_operator(self, construction, grid_n):
         fresh, scanned = self.fresh_and_scanned(construction, grid_n)
-        for n_theta in (8, 180, 360):
-            assert disk_test(scanned, n_theta) == disk_test(fresh, n_theta)
+        assert disk_test(scanned) == disk_test(fresh)
         for n_theta in (1, 37, 90, 360):
             a, b = range_cloud(scanned, n_theta, seed=1), range_cloud(fresh, n_theta, seed=1)
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.thetas, b.thetas, equal_nan=True)
 
     def test_flat_profile_grid_is_solved_once(self, monkeypatch):
-        # A flat profile's scan stops at its first level and stores nothing;
-        # the range cloud solves its 180-angle grid once and the disk test
-        # reads it from the store.
+        # The range cloud solves its 180-angle grid once per call; the disk
+        # test solves no grid: one eigvalsh of H_re for its radius, one
+        # level-set check and one batched SVD of two r x r matrices.
         _, op = self.fresh_and_scanned("nilpotent_half")
-        assert op.extremes == {}
         counted, vectors = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigh")
+        checks, svds = count_mats(monkeypatch, "eigvals"), count_mats(monkeypatch, "svd")
         range_cloud(op, 360, seed=0)
-        disk_test(op, 180)
-        assert counted[0] == 180 and vectors[0] == 0
-
-    @pytest.mark.parametrize("grid_n", [720, 1440, 2880])
-    def test_size_follows_the_angles_solved(self, grid_n):
-        # The store holds whole grids only. A scan that pruned, as on a
-        # random operator, stores nothing, and one that does not refine
-        # stores nothing either. A flat profile's scan stops at its first
-        # level and stores nothing; a grid read then stores exactly its
-        # grid, bit-identical to a grid solve, and a second scan changes
-        # nothing.
-        rng = np.random.default_rng(5)
-        op = make_op(np.eye(8), rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-        radius_theta_scan(op, grid_n, refine=False)
-        radius_theta_scan(op, grid_n)
-        assert op.extremes == {}
-        _, flat = self.fresh_and_scanned("nilpotent_half", grid_n)
-        assert flat.extremes == {}
-        rows = radius._grid_extremes(flat, grid_n)
-        assert list(flat.extremes) == [grid_n]
-        assert np.array_equal(rows, radius._extremes(flat, np.arange(grid_n) * (math.pi / grid_n)))
-        radius_theta_scan(flat, grid_n)
-        assert list(flat.extremes) == [grid_n] and np.array_equal(flat.extremes[grid_n], rows)
-
-    @pytest.mark.parametrize("construction", ADJOINTABLE)
-    def test_nested_reads_solve_nothing(self, monkeypatch, construction):
-        # A stored 720 grid serves every 720 / 2^p grid, bit for bit as a
-        # fresh operator solves it.
-        spec = InstanceSpec(dim=6, rank_a=4, construction=construction, seed=4)
-        fresh, op = (make_op(*gen_instance(spec)) for _ in range(2))
-        radius._grid_extremes(op, 720)
-        counted = count_mats(monkeypatch, "eigvalsh")
-        reads = {n: radius._grid_extremes(op, n) for n in (360, 180, 90, 45)}
-        assert counted[0] == 0
-        for n, lam in reads.items():
-            assert np.array_equal(lam, radius._grid_extremes(fresh, n))
-        assert list(op.extremes) == [720]
-
-    @pytest.mark.parametrize("grid_n", [8, 181, 240])
-    def test_other_sizes_solve_their_grid_once(self, monkeypatch, grid_n):
-        # The flat profile's scan stores nothing, so the store holds the
-        # 720 grid only once it is read.
-        _, op = self.fresh_and_scanned("nilpotent_half")
-        radius._grid_extremes(op, 720)
-        counted = count_mats(monkeypatch, "eigvalsh")
-        first = radius._grid_extremes(op, grid_n)
-        assert counted[0] == grid_n
-        assert np.array_equal(radius._grid_extremes(op, grid_n), first)
-        assert counted[0] == grid_n
-        assert set(op.extremes) == {720, grid_n}
+        assert (counted[0], vectors[0], checks[0]) == (180, 0, 0)
+        before = svds[0]
+        assert disk_test(op).is_disk
+        assert (counted[0], vectors[0], checks[0], svds[0] - before) == (181, 0, 1, 2)
 
 
 class TestDiskTest:
@@ -969,15 +936,13 @@ class TestDiskTest:
         assert res.is_disk
         assert res.radius_k == 0.0
 
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
-            disk_test(make_op(np.eye(2), JORDAN), n_theta=4)
-
-    @pytest.mark.parametrize("n_theta", [100.5, 360.0, True, "360"])
-    def test_rejects_non_integer_grid_before_solving(self, monkeypatch, n_theta):
-        # 100.5 used to evaluate 101 angles spaced pi / 100.5
-        op = make_op(np.eye(2), JORDAN)
-        counted = count_mats(monkeypatch, "eigvalsh")
-        with pytest.raises(TypeError, match="n_theta must be an integer"):
-            disk_test(op, n_theta)
-        assert counted[0] == 0
+    @pytest.mark.parametrize("case", ["16-gon", "half-octagon", "bump"])
+    def test_near_disks_are_not_disks(self, case):
+        # Each passed the former sampled test: the regular 16-gon and the
+        # half-octagon at 8 angles, whose every value is 1, and J_2 + lambda
+        # at 180 angles, lambda 2e-5 outside the disk W(J_2) between two of
+        # them. Their profiles are flat on those grids, not everywhere.
+        op = make_op(*NEAR_DISKS[case])
+        res = disk_test(op)
+        assert not res.is_disk
+        assert res.radius_k == pytest.approx(0.5 if case == "bump" else 1.0, rel=1e-12)

@@ -385,7 +385,7 @@ class TestOperatorInvariants:
         assert rad.lower == rad.upper == 0.0
         diag = equality_half_norm(op, rad, 180)
         assert diag.equality_holds and diag.re_im_constant and diag.disk.is_disk
-        assert diag.target == diag.disk.radius_k == diag.disk.max_deviation == 0.0
+        assert diag.target == diag.disk.radius_k == 0.0
 
     @pytest.mark.parametrize(
         "construction, n, rank",
