@@ -9,8 +9,8 @@ bounded by w_A(M) <= ||M||_A, sigma_max of its compression. M gets an
 unrefined radius scan at T's grid (they read only upper ends) only when
 that norm cannot show each bound it meets to hold and not be tight. The
 two equality diagnostics read no profile: ``radius._is_disk`` decides each
-from T's enclosure and, unless that lies above the target, from two r x r
-SVDs at non-real angles.
+from T's enclosure and, unless that lies above the target, from one
+eigvalsh of two r x r matrices H(theta) at fixed angles.
 
 ``inequality_reports`` assembles every inequality of the paper for one T,
 the comparison of the refined commutator bounds included, for both the

@@ -16,8 +16,9 @@ the upper end by one level-set check instead (Mengi & Overton, IMA J.
 Numer. Anal. 25, 2005; Uhlig, Numer. Algorithms 52, 2009): no real theta
 makes that level an eigenvalue of H(theta).
 
-Whether W is an origin disk is decided by one identity, not a grid
-(``_is_disk``). No operator keeps the angles solved on it.
+Whether W is an origin disk is decided without a grid, from the
+enclosure and the support function at four fixed directions (``_is_disk``).
+No operator keeps the angles solved on it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .space import AOperator
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of a side, 0.381966...
 _ENDS = np.array([0, -1])  # the columns of lambda_min and lambda_max in eigvalsh's output
-_DISK_Z = np.array([0.7 + 0.45j, 2.1 + 0.8j])  # the non-real points where _is_disk reads det(H(z) - k I)
+_DISK_ANGLES = np.array([0.7, 2.1])  # where _is_disk reads H(theta); irrational multiples of pi, off every grid
 
 
 class DegenerateRankError(LinAlgInputError):
@@ -72,7 +73,7 @@ class RangeCloud:
 @dataclass(frozen=True)
 class DiskTestResult:
     """is_disk says that W = W_A(T) is the origin disk of radius radius_k,
-    up to equality_rel_tol, decided without sampling (``_is_disk``)."""
+    up to equality_rel_tol, decided without a grid (``_is_disk``)."""
 
     is_disk: bool
     radius_k: float
@@ -191,16 +192,17 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
 
 def _level_clear(op: AOperator, gamma: float) -> bool:
     """True when no real theta makes gamma an eigenvalue of H(theta), given
-    gamma > f(0) = ||H_re||; then f < gamma on all of [0, pi).
+    H_re + gamma I positive definite (else False, as its Cholesky fails),
+    which any gamma > f(0) = ||H_re|| meets; then f < gamma on [0, pi).
 
-    Why that suffices: lambda_max(H(theta)) is continuous on [0, 2 pi), below
-    gamma at theta = 0 and never equal to it, so it stays below gamma, and
-    f(theta) = max(lambda_max(H(theta)), lambda_max(H(theta + pi))).
-    The substitution s = tan(theta / 2) covers every theta but pi, whose
-    H(pi) = -H_re has norm f(0) < gamma. Multiplied by 1 + s^2, H(theta) -
-    gamma I becomes the quadratic pencil (H_re - gamma I) - 2 s H_im -
-    s^2 (H_re + gamma I). H_re + gamma I = L L* is positive definite, and
-    the congruence by L^-1 turns the pencil into B0 + s B1 - s^2 I with
+    Why that suffices: lambda_max(H(theta)) is continuous on [0, 2 pi),
+    below gamma at theta = pi, where H(pi) = -H_re, and never equal to it,
+    so it stays below gamma, and f(theta) = max(lambda_max(H(theta)),
+    lambda_max(H(theta + pi))). The substitution s = tan(theta / 2) covers
+    every theta but pi. Multiplied by 1 + s^2, H(theta) - gamma I becomes
+    the quadratic pencil (H_re - gamma I) - 2 s H_im - s^2 (H_re + gamma I).
+    H_re + gamma I = L L*, and the congruence by L^-1 turns the pencil into
+    B0 + s B1 - s^2 I with
     B0 = I - 2 gamma L^-1 L^-*, B1 = -2 L^-1 H_im L^-*, whose eigenvalues s
     are those of the 2r x 2r companion C = [[0, I], [B0, B1]]. A crossing is
     a real s.
@@ -233,7 +235,7 @@ def _level_clear(op: AOperator, gamma: float) -> bool:
     r = op.ctx.rank
     try:
         chol = np.linalg.cholesky(op.h_re + gamma * np.eye(r))
-    except np.linalg.LinAlgError:  # gamma <= ||H_re|| up to rounding
+    except np.linalg.LinAlgError:  # gamma <= -lambda_min(H_re) up to rounding
         return False
     inv = np.linalg.inv(chol)
     b0 = np.eye(r) - (2.0 * gamma) * (inv @ inv.conj().T)
@@ -266,10 +268,10 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     above the uniform grid's certificate.
 
     A flat profile prunes nothing, so the first level is tested first: when
-    every value on it is ``tol.close`` to their maximum M > 0, as in
-    ``disk_test``, and ``_level_clear`` finds no angle where f reaches
-    M + guard, the scan stops there with upper = M + guard (the same with
-    or without refinement), 2 guards above lower at most. When the check
+    every value on it is ``tol.close`` to their maximum M > 0 and
+    ``_level_clear`` finds no angle where f reaches M + guard, the scan
+    stops there with upper = M + guard (the same with or without
+    refinement), 2 guards above lower at most. When the check
     cannot rule out a crossing, the scan goes on exactly as for any other
     profile. A first level that is not flat never meets the check.
 
@@ -475,31 +477,29 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
 
 def _is_disk(op: AOperator, k: float, rad: RadiusEstimate | None = None) -> bool:
     """Whether W = W_A(T) is the origin disk of radius k, to within
-    tol = equality_rel_tol, decided by an identity rather than a grid.
+    tol = equality_rel_tol, decided by one eigensolve rather than a grid.
 
-    lambda_max(H(theta)) is the support function of W, and the eigenvalues
-    of the Hermitian family H(theta) are r branches analytic in theta
-    (Kato, Perturbation Theory for Linear Operators, ch. II sec. 6). So
-    lambda_max = k throughout puts one branch at k at infinitely many
-    angles, hence everywhere, and the entire p(z) = det(H(z) - k I)
-    vanishes identically; conversely p = 0 puts a branch, hence lambda_max,
-    at k or above everywhere. W is thus the disk exactly when (i) w_A(T) <= k
-    and (ii) p = 0, as for J_n (Haagerup & de la Harpe, Proc. AMS 115, 1992).
+    W is that disk exactly when its support function h(theta) =
+    lambda_max(H(theta)) = -lambda_min(H(theta + pi)) is k everywhere, as
+    for J_n (Haagerup & de la Harpe, Proc. AMS 115, 1992). The eigenvalues
+    of H(theta) are r branches analytic in theta (Kato, Perturbation Theory
+    for Linear Operators, ch. II sec. 6), so given (i) w_A(T) <= k, h = k
+    on an interval puts one branch at k everywhere, and W is the disk;
+    otherwise h = k in finitely many directions. So (ii) h = k in four
+    fixed directions, theta = 0.7, 2.1 and those plus pi, off every grid,
+    decides, unless W meets the circle in all four by coincidence (a
+    polygon inscribed there with those vertices passes).
 
     (i) is read as w_A(T) <= k (1 + tol): False when rad.lower exceeds that
     level, True when rad.upper does not, else ``_level_clear`` decides; a
-    k < 0 fails, as w_A(T) >= 0. (ii) is read at two non-real z, since at
-    a real z p vanishes wherever a branch crosses k, as at the maximizer of
-    f when w_A(T) = k. A p that is not 0 is a trigonometric polynomial with
-    finitely many zeros per period strip, so it vanishes at a fixed
-    non-real z only by coincidence, and needing two unrelated points lets
-    no single coincidence pass. p(z) = 0 is read as sigma_min <= tol
-    sigma_max for H(z) - k I: forming it and its SVD round by a few
-    r eps ||H(z) - k I||, and singular values move no further (Weyl),
-    however ill-conditioned the eigenvalue k is (for J_64 the similarity
-    that diagonalizes H(z) has condition about e^50), far below tol. tol, not a rounding bound, makes the verdict measure nearness
-    as ``equality_holds`` does: for J_2 + eps G both read of order eps, and a
-    rounding threshold would deny the disk at eps = 1e-9 while equality held.
+    k < 0 fails, as w_A(T) >= 0. (ii) is read as h >= k (1 - tol), from
+    one eigvalsh of H(0.7) and H(2.1). Hermitian eigenvalues are perfectly
+    conditioned (Weyl): they round by a few r eps ||H||, far below tol k.
+    det(H(z) - k I) = 0 at a non-real z would not be: H(z) is far from
+    normal (for J_64 its eigenvectors have condition about e^50), so a
+    small sigma_min there only puts k in a pseudospectrum. tol, not a
+    rounding bound, makes the verdict measure nearness as
+    ``equality_holds`` does: for J_2 + eps G both read of order eps.
 
     k = 0: W = {0} exactly when C = 0, as for rank(A) = 0, and
     op.seminorm == 0.0 decides without a solve.
@@ -512,8 +512,8 @@ def _is_disk(op: AOperator, k: float, rad: RadiusEstimate | None = None) -> bool
         return False
     if (rad is None or rad.upper > level) and not _level_clear(op, level):
         return False
-    s = np.linalg.svd(_support_pencils(op, _DISK_Z) - k * np.eye(op.ctx.rank), compute_uv=False)
-    return bool((s[:, -1] <= tol * s[:, 0]).all())
+    support = _extremes(op, _DISK_ANGLES) * np.array([-1.0, 1.0])  # h(theta + pi) and h(theta)
+    return bool((support >= k * (1.0 - tol)).all())
 
 
 def disk_test(op: AOperator) -> DiskTestResult:

@@ -30,16 +30,10 @@ from anumrad import bounds
 from anumrad.io import to_dict
 from anumrad.linalg import TolerancePolicy
 
+from test_radius import NEAR_DISKS
+
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SQRT2 = math.sqrt(2.0)
-# W is the regular 16-gon, half of it (its vertices j = 0..8), and the disk
-# W(J_2) with the point lambda = (1 + 2e-5) e^{-i pi / 360} / 2 just outside.
-_BUMP = np.diag([0.0, 0.0, 0.5 * (1 + 2e-5) * np.exp(-1j * math.pi / 360)]) + np.diag([1.0, 0.0], 1)
-NEAR_DISKS = {
-    "16-gon": (np.eye(16), np.diag(np.exp(1j * math.pi * np.arange(16) / 8))),
-    "half-octagon": (np.eye(9), np.diag(np.exp(1j * math.pi * np.arange(9) / 8))),
-    "bump": (np.eye(3), _BUMP),
-}
 
 
 def prepared(a, t):
@@ -250,8 +244,9 @@ class TestEqualityDiagnostics:
 
     @pytest.mark.parametrize("eps, near", [(1e-9, True), (1e-7, True), (1e-5, False)])
     def test_near_equality_reads_like_equality_holds(self, eps, near):
-        # T = J_2 + eps G: lower / k - 1 and the sigma_min / sigma_max of
-        # H(z) - k I are both of order eps, so the two verdicts agree at
+        # T = J_2 + eps G: lower / k - 1 and 1 - h / k, the support
+        # function's deficit at the fixed directions, are both of order
+        # eps, so the two verdicts agree at
         # equality_rel_tol = 1e-6. A threshold of a few rounding units
         # would call eps = 1e-9 no disk while its equality held, and the
         # suite would report that as a violation.
@@ -271,15 +266,15 @@ class TestEqualityDiagnostics:
 
     def test_flat_profile_solves_no_equality_grid(self, monkeypatch):
         # A nilpotent T has a flat profile: its enclosure shows w <= k (1 +
-        # tol) for both targets, so each verdict costs one batched SVD of two
-        # r x r matrices and no eigensolve.
+        # tol) for both targets, so each verdict costs one eigvalsh of two
+        # r x r matrices, no level-set check and no grid.
         a, t = gen_instance(InstanceSpec(dim=8, rank_a=5, construction="nilpotent_half", seed=1))
         op = make_a_operator(psd_decompose(a), t)
         rad = radius_theta_scan(op)
         _ = op.seminorm, op.form_norm  # the targets' norms, cached before counting
         counted, checks, svds = (count_mats(monkeypatch, name) for name in ("eigvalsh", "eigvals", "svd"))
         diags = equality_diagnostics(op, rad)
-        assert (counted[0], checks[0], svds[0]) == (0, 0, 4)
+        assert (counted[0], checks[0], svds[0]) == (4, 0, 0)
         assert all(d.equality_holds and d.re_im_constant and d.disk.is_disk for d in diags)
 
     def test_unattainable_targets_read_no_profile(self, monkeypatch):

@@ -238,8 +238,9 @@ class TestSuite:
 
     def test_equality_stage_solves_no_profile(self, monkeypatch):
         # A random seed-42 instance lies above both equality targets and a
-        # nilpotent one attains both; the enclosure shows that, and neither
-        # equality stage solves an eigenvalue problem.
+        # nilpotent one attains both; the enclosure shows that, so the
+        # random equality stage solves no eigenvalue problem and the
+        # nilpotent one solves H(theta) at two fixed angles per target.
         solved = [0]
         eigvalsh = np.linalg.eigvalsh
 
@@ -263,8 +264,8 @@ class TestSuite:
         for i, spec in enumerate(config.instance_specs()):
             reads.clear()
             ev = evaluate_instance(spec, config, index=i)
-            assert ev.adjointable and reads == [0]
             nilpotent = spec.construction == "nilpotent_half"
+            assert ev.adjointable and reads == [4 if nilpotent else 0]
             assert all(d.equality_holds == d.re_im_constant == d.disk.is_disk == nilpotent for d in ev.diagnostics)
 
     def test_false_disk_under_equality_is_a_violation(self, monkeypatch):

@@ -910,7 +910,7 @@ class TestSupportStore:
     def test_flat_profile_grid_is_solved_once(self, monkeypatch):
         # The range cloud solves its 180-angle grid once per call; the disk
         # test solves no grid: one eigvalsh of H_re for its radius, one
-        # level-set check and one batched SVD of two r x r matrices.
+        # level-set check and one eigvalsh of two r x r matrices.
         _, op = self.fresh_and_scanned("nilpotent_half")
         counted, vectors = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigh")
         checks, svds = count_mats(monkeypatch, "eigvals"), count_mats(monkeypatch, "svd")
@@ -918,7 +918,7 @@ class TestSupportStore:
         assert (counted[0], vectors[0], checks[0]) == (180, 0, 0)
         before = svds[0]
         assert disk_test(op).is_disk
-        assert (counted[0], vectors[0], checks[0], svds[0] - before) == (181, 0, 1, 2)
+        assert (counted[0], vectors[0], checks[0], svds[0] - before) == (183, 0, 1, 0)
 
 
 class TestDiskTest:
@@ -946,3 +946,16 @@ class TestDiskTest:
         res = disk_test(op)
         assert not res.is_disk
         assert res.radius_k == pytest.approx(0.5 if case == "bump" else 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [33, 64])
+    @pytest.mark.parametrize("c", [1e-3, 1e-2])
+    def test_shifted_off_the_origin_is_not_disk(self, n, c):
+        # W(J_n + c I) is the disk of radius cos(pi / (n + 1)) centred at c,
+        # so h(0) = k = c + cos(pi / (n + 1)) and w <= k hold exactly, but h
+        # falls short of k by c (1 - cos theta) elsewhere. H(z) - k I at a
+        # non-real z is far from normal here: its sigma_min / sigma_max
+        # reads about e^{-n Im z}, so a singular-value test of
+        # det(H(z) - k I) = 0 would pass this off-centre disk.
+        res = disk_test(make_op(np.eye(n), shift(n) + c * np.eye(n)))
+        assert not res.is_disk
+        assert res.radius_k == pytest.approx(c + math.cos(math.pi / (n + 1)), rel=1e-12)
