@@ -2,15 +2,16 @@
 characterizations, and commutator upper bounds.
 
 The evaluators read the per-operator norms cached on :class:`AOperator`
-(``seminorm``, ``part_norms``, ``form_norm``), so each is computed once per
-operator however many bounds use it. The commutator bounds take T's
-enclosure and its grid. The radius of each product M = TX +- YT is first
-bounded by w_A(M) <= ||M||_A, sigma_max of its compression. M gets an
-unrefined radius scan at T's grid (they read only upper ends) only when
-that norm cannot show each bound it meets to hold and not be tight. The
-two equality diagnostics read no profile: ``radius._is_disk`` decides each
-from T's enclosure and, unless that lies above the target, from one
-eigvalsh of two r x r matrices H(theta) at fixed angles.
+(``seminorm``, ``form_norm``, and ``part_norms``, f at the angles of
+th1-th4's proofs), so each is computed once per operator however many
+bounds use it. The commutator bounds take T's enclosure and its grid. The
+radius of each product M = TX +- YT is first bounded by w_A(M) <= ||M||_A,
+sigma_max of its compression. M gets an unrefined radius scan at T's grid
+(they read only upper ends) only when that norm cannot show each bound it
+meets to hold and not be tight. The two equality diagnostics read no
+profile: ``radius._is_disk`` decides each from T's enclosure and, unless
+that lies above the target, from one eigvalsh of two r x r matrices
+H(theta) at fixed angles.
 
 ``inequality_reports`` assembles every inequality of the paper for one T,
 the comparison of the refined commutator bounds included, for both the

@@ -82,11 +82,11 @@ def _random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _random_psd(rng, n, rank, scale=1.0):
+def _random_psd(rng, n, rank):
     """A = GG* truncated to the requested rank via its eigendecomposition."""
     if rank == 0:
         return np.zeros((n, n), dtype=np.complex128)
-    g = _complex_gaussian(rng, (n, n), scale)
+    g = _complex_gaussian(rng, (n, n))
     w, u = np.linalg.eigh(g @ g.conj().T)
     w[: n - rank] = 0.0  # eigenvalues ascending; drop the smallest
     a = (u * w) @ u.conj().T

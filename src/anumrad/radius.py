@@ -18,7 +18,9 @@ makes that level an eigenvalue of H(theta).
 
 Whether W is an origin disk is decided without a grid, from the
 enclosure and the support function at four fixed directions (``_is_disk``).
-No operator keeps the angles solved on it.
+No operator keeps the angles solved on it. Every eigensolve of f goes
+through ``space._extremes``, and every point u*Cu / |u|^2 of W (sampled,
+boundary or interior) through ``_quadratic_forms``.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import LinAlgInputError, as_count
-from .space import AOperator
+from .space import AOperator, _extremes, _magnitude, _support_pencils
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of a side, 0.381966...
-_ENDS = np.array([0, -1])  # the columns of lambda_min and lambda_max in eigvalsh's output
 _DISK_ANGLES = np.array([0.7, 2.1])  # where _is_disk reads H(theta); irrational multiples of pi, off every grid
 
 
@@ -77,30 +78,6 @@ class DiskTestResult:
 
     is_disk: bool
     radius_k: float
-
-
-def _support_pencils(op: AOperator, th: np.ndarray) -> np.ndarray:
-    """The stack cos(theta) H_re - sin(theta) H_im, the compressions of
-    Re_A(e^{i theta}T), one r x r matrix per angle."""
-    return (
-        np.cos(th)[:, None, None] * op.h_re[None, :, :]
-        - np.sin(th)[:, None, None] * op.h_im[None, :, :]
-    )
-
-
-def _extremes(op: AOperator, th: np.ndarray) -> np.ndarray:
-    """lambda_min and lambda_max of H(theta) for each angle of th, one row
-    per angle, from one batched eigvalsh; zero rows when rank(A) = 0. Every
-    eigensolve of f goes through here."""
-    if op.ctx.rank == 0:
-        return np.zeros((th.size, 2))
-    return np.linalg.eigvalsh(_support_pencils(op, th))[:, _ENDS]
-
-
-def _magnitude(lam: np.ndarray) -> np.ndarray:
-    """f = max(|lambda_min|, |lambda_max|) = ||H(theta)|| from rows of
-    ``_extremes``."""
-    return np.abs(lam).max(axis=-1)
 
 
 def phase_profile(op: AOperator, thetas) -> np.ndarray:
@@ -373,6 +350,19 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
+def _quadratic_forms(c_real: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re u*Cu, Im u*Cu and |u|^2 for each column of the (2r, m) array
+    u = [Re u; Im u], with C given by its real form ``c_real``, so that Cu
+    comes as stacked real and imaginary parts: the one formulation of the
+    point u*Cu / |u|^2 of W_A(T)."""
+    r = u.shape[0] // 2
+    w = c_real @ u
+    # u* (Cu) with u = a + ib and Cu = p + iq: (a.p + b.q) + i (a.q - b.p).
+    re = np.einsum("ij,ij->j", u, w)
+    im = np.einsum("ij,ij->j", u[:r], w[r:]) - np.einsum("ij,ij->j", u[r:], w[:r])
+    return re, im, np.einsum("ij,ij->j", u, u)
+
+
 def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> float:
     """Monte-Carlo lower oracle: max |<Tx,x>_A| over random unit-A-norm x.
 
@@ -382,11 +372,10 @@ def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> fl
     z ~ CN(0, I_n), since Q* z ~ CN(0, I_r) when Q*Q = I_r, but no draw or
     product has n rows: the cost follows rank(A). The arithmetic is real:
     each chunk of draws is one (2r, m) array whose first r rows are Re u and
-    last r rows Im u (the same draws as two (r, m) calls), and C acts through
-    its real form, so Cu comes as stacked real and imaginary parts.
-    Deterministic for a fixed integer seed; the stream differs from that of
-    earlier versions, which drew z in C^n. Never exceeds the true radius
-    beyond rounding. Returns 0 for rank(A) = 0.
+    last r rows Im u (the same draws as two (r, m) calls), read by
+    ``_quadratic_forms``. Deterministic for a fixed integer seed; the
+    stream differs from that of earlier versions, which drew z in C^n.
+    Never exceeds the true radius beyond rounding. Returns 0 for rank(A) = 0.
     """
     n_samples = as_count(n_samples, "n_samples")
     seed = as_count(seed, "seed")
@@ -400,15 +389,9 @@ def radius_sampling(op: AOperator, n_samples: int = 10_000, seed: int = 0) -> fl
     while remaining > 0:
         m = min(remaining, 50_000)
         remaining -= m
-        u = rng.standard_normal((2 * r, m))
-        w = c_real @ u
-        nsq = np.einsum("ij,ij->j", u, u)
+        re, im, nsq = _quadratic_forms(c_real, rng.standard_normal((2 * r, m)))
         ok = nsq > 0.0
-        # u* (Cu) with u = a + ib and Cu = p + iq: (a.p + b.q) + i (a.q - b.p).
-        re = np.einsum("ij,ij->j", u, w)
-        im = np.einsum("ij,ij->j", u[:r], w[r:]) - np.einsum("ij,ij->j", u[r:], w[:r])
-        vals = np.hypot(re, im)
-        best = max(best, float((vals[ok] / nsq[ok]).max(initial=0.0)))
+        best = max(best, float((np.hypot(re, im)[ok] / nsq[ok]).max(initial=0.0)))
     return best
 
 
@@ -427,24 +410,24 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
     with H - sigma I, sigma = lambda_max + 4 r eps ||C|| for a top vector and
     lambda_min - 4 r eps ||C|| for a bottom one, so that the shifted matrix
     is definite and no solve meets a singular one. C = 0 gives zero boundary
-    points. Random unit vectors in range(A) supply interior points (theta
-    recorded as nan).
+    points. Interior points (theta recorded as nan) are u*Cu / |u|^2 for
+    u ~ CN(0, I_r), drawn as one (2r, n_theta) array of Re u over Im u. Every
+    point, boundary and interior, comes from ``_quadratic_forms``.
     """
     n_theta = as_count(n_theta, "n_theta", 1)
     seed = as_count(seed, "seed")
     ctx = op.ctx
     if ctx.rank == 0:
         raise DegenerateRankError("W_A(T) is empty when A = 0")
-    c = op.compressed
+    c_real = _real_form(op.compressed)
     thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
     m = n_theta // 2 if n_theta % 2 == 0 else n_theta
     steps = np.arange(n_theta) * (2 * m // n_theta)  # theta_k = pi steps_k / m
     pencil = steps % m
     top = steps < m  # theta_k in [0, pi): top eigenvector of H(theta_k)
     norm = op.seminorm
-    if norm == 0.0:
-        boundary = np.zeros(n_theta, dtype=complex)
-    else:
+    v = np.ones((n_theta, ctx.rank, 1))  # C = 0: every point is 0
+    if norm != 0.0:
         grid = np.arange(m) * (math.pi / m)
         lam = _extremes(op, grid)[pencil]
         margin = 4 * ctx.rank * np.finfo(float).eps * norm
@@ -461,16 +444,12 @@ def range_cloud(op: AOperator, n_theta: int = 360, seed: int = 0) -> RangeCloud:
             # side times margin keeps v near unit length at every scale of C.
             v = np.linalg.solve(h, margin * v)
             v /= np.linalg.norm(v, axis=1, keepdims=True)
-        v = v[:, :, 0]
-        boundary = np.einsum("ki,ij,kj->k", v.conj(), c, v)
-
+    # The boundary vectors as [Re v; Im v] columns, then the interior draws.
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((ctx.rank, n_theta)) + 1j * rng.standard_normal((ctx.rank, n_theta))
-    z /= np.linalg.norm(z, axis=0)
-    interior = np.einsum("ij,ik,kj->j", z.conj(), c, z)
-
+    u = np.hstack([np.vstack([v.real.T[0], v.imag.T[0]]), rng.standard_normal((2 * ctx.rank, n_theta))])
+    re, im, nsq = _quadratic_forms(c_real, u)
     return RangeCloud(
-        points=np.concatenate([boundary, interior]),
+        points=(re + 1j * im) / nsq,
         thetas=np.concatenate([thetas, np.full(n_theta, np.nan)]),
     )
 

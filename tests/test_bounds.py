@@ -22,6 +22,7 @@ from anumrad import (
     gen_partner,
     inequality_reports,
     make_a_operator,
+    phase_profile,
     psd_decompose,
     radius_theta_scan,
     spectral_norm,
@@ -30,7 +31,7 @@ from anumrad import bounds
 from anumrad.io import to_dict
 from anumrad.linalg import TolerancePolicy
 
-from test_radius import NEAR_DISKS
+from test_radius import NEAR_DISKS, count_mats
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SQRT2 = math.sqrt(2.0)
@@ -39,19 +40,6 @@ SQRT2 = math.sqrt(2.0)
 def prepared(a, t):
     op = make_a_operator(psd_decompose(a), t)
     return op, radius_theta_scan(op)
-
-
-def count_mats(monkeypatch, name="eigvalsh"):
-    """Patch np.linalg.<name> to count the matrices it is given."""
-    counted = [0]
-    solver = getattr(np.linalg, name)
-
-    def counting(m, *args, **kwargs):
-        counted[0] += int(np.prod(np.shape(m)[:-2]))
-        return solver(m, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, counting)
-    return counted
 
 
 class TestCartesianFormNorm:
@@ -68,11 +56,31 @@ class TestCartesianFormNorm:
         op, _ = prepared(np.diag([2.0, 1.0]), np.array([[1.0, 2.0j], [0.5, -1.0]]))
         assert op.form_norm is op.form_norm
         assert op.part_norms is op.part_norms
-        re_n, im_n, sum_n, diff_n = op.part_norms
-        assert re_n == spectral_norm(op.h_re)
-        assert im_n == spectral_norm(op.h_im)
-        assert sum_n == spectral_norm(op.h_re + op.h_im)
-        assert diff_n == spectral_norm(op.h_re - op.h_im)
+        # f at the angles the refined bounds' proofs pass through, sqrt 2 f
+        # at 3 pi / 4 and pi / 4, from the one kernel that computes f
+        f = phase_profile(op, [0.0, math.pi / 2, 3 * math.pi / 4, math.pi / 4])
+        assert op.part_norms == (f[0], f[1], SQRT2 * f[2], SQRT2 * f[3])
+        # against an independent oracle: sigma_max of the Cartesian parts
+        oracle = (op.h_re, op.h_im, op.h_re + op.h_im, op.h_re - op.h_im)
+        for got, part in zip(op.part_norms, oracle):
+            want = spectral_norm(part)
+            assert abs(got - want) <= 4 * op.ctx.rank * np.finfo(float).eps * want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_vanishing_parts_read_below_eps(self, seed):
+        # At A = I, Im_A(H) of a Hermitian H is 0, and so (to the rounding
+        # of (1 -+ i) H) are Re + Im of (1 - i) H and Re - Im of (1 + i) H.
+        # sigma_max read those as 0; f reads cos(pi/2) = 6.1e-17 times
+        # ||Re||, and cos and sin at pi/4 and 3 pi/4 differ by one ulp, so
+        # each is a rounding below eps ||T||_A.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        h = g + g.conj().T
+        ctx = psd_decompose(np.eye(5))
+        assert not make_a_operator(ctx, h).h_im.any()
+        for t, k in ((h, 1), ((1 - 1j) * h, 2), ((1 + 1j) * h, 3)):
+            op = make_a_operator(ctx, t)
+            assert op.part_norms[k] <= np.finfo(float).eps * op.seminorm
 
 
 class TestClassicBounds:
@@ -489,7 +497,10 @@ def test_attaining_commutator_is_still_scanned(monkeypatch):
     ctx = psd_decompose(np.diag([1.0, 0.0]))
     op_t, op_s = make_a_operator(ctx, np.diag([3.0, 0.0])), make_a_operator(ctx, np.diag([s, 0.0]))
     rad_t = radius_theta_scan(op_t)
-    counted = count_mats(monkeypatch)
+    # Each part_norms is one eigvalsh of four matrices; read (and cache)
+    # them first, so the counts below see scans only.
+    _ = (op_t.part_norms, op_s.part_norms)
+    counted = count_mats(monkeypatch, "eigvalsh")
     reports = {(i // 3, r.formula_id): r for i, r in enumerate(commutator_th5(op_t, op_s, op_s, rad_t))}
     assert counted[0] > 0
     for fid in ("lem1", "th5_i"):

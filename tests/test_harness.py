@@ -369,6 +369,17 @@ class TestSuite:
             for s, w in ((1.0, cmp.w_plus), (-1.0, cmp.w_minus)):
                 assert verdict(w, bound) == verdict(scanned(ev.partner, ev.partner, s), bound)
 
+    def test_non_adjointable_random_instance_is_a_violation(self, monkeypatch):
+        # A random spec promises an adjointable T; were its draw the probe's
+        # (Gaussian T against A of rank 2 < 3), the suite would flag it.
+        probe = gen_instance(InstanceSpec(dim=3, rank_a=2, construction="nonadjointable_probe", seed=5))
+        monkeypatch.setattr(harness, "gen_instance", lambda spec: probe)
+        spec = InstanceSpec(dim=3, rank_a=2, construction="random", seed=5)
+        ev = evaluate_instance(spec, SuiteConfig(n_instances=1), index=4)
+        assert not ev.adjointable
+        assert ev.violations == ["[4] unexpected non-adjointable instance"]
+        assert ev.rad is None
+
     def test_probe_instances_recorded_not_flagged(self):
         spec = InstanceSpec(dim=3, rank_a=1, construction="nonadjointable_probe", seed=2)
         ev = evaluate_instance(spec, SuiteConfig(n_instances=1))

@@ -12,7 +12,7 @@ from anumrad import (
     SuiteConfig,
     evaluate_instance,
 )
-from anumrad.io import to_dict
+from anumrad.io import InstanceFormatError, load_instance, matrix_from_json, save_instance, to_dict
 
 
 def asdict_plain(obj):
@@ -63,3 +63,43 @@ def test_to_dict_leaves_no_numpy_scalars():
     for obj in serialized_objects():
         assert scalars(to_dict(obj)) == []
 
+
+
+class TestInstanceValidation:
+    """Reading and writing refuse entries, shapes and files that do not match
+    the schema with InstanceFormatError; a refused save writes nothing."""
+
+    @pytest.mark.parametrize("data", [[[["a", "b"]]], [[[1.0, 0.0]], [[1.0]]]], ids=["text", "ragged"])
+    def test_malformed_entries(self, data):
+        with pytest.raises(InstanceFormatError, match="malformed matrix entries"):
+            matrix_from_json(data, 1)
+
+    @pytest.mark.parametrize("data", [[[1.0, 0.0]], [[[1.0, 0.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]]])
+    def test_wrong_matrix_shape(self, data):
+        with pytest.raises(InstanceFormatError, match=r"expected a 1x1 matrix of \[re, im\] pairs"):
+            matrix_from_json(data, 1)
+
+    @pytest.mark.parametrize("missing", ["A", "T"])
+    def test_save_without_a_or_t(self, tmp_path, missing):
+        path = tmp_path / "inst.json"
+        matrices = {"A": np.eye(2), "T": np.eye(2)}
+        del matrices[missing]
+        with pytest.raises(InstanceFormatError, match="at least matrices 'A' and 'T'"):
+            save_instance(path, matrices)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("payload", [[1, 2], "dim", {"A": [[[1.0, 0.0]]]}], ids=["list", "string", "no-dim"])
+    def test_load_needs_an_object_with_dim(self, tmp_path, payload):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InstanceFormatError, match="must be an object with a 'dim' field"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("missing", ["A", "T"])
+    def test_load_without_a_or_t(self, tmp_path, missing):
+        path = tmp_path / "inst.json"
+        payload = {"dim": 1, "A": [[[1.0, 0.0]]], "T": [[[0.5, 0.0]]]}
+        del payload[missing]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InstanceFormatError, match="must contain matrices 'A' and 'T'"):
+            load_instance(path)

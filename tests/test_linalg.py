@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anumrad import (
+    DimensionMismatchError,
     LinAlgInputError,
     NotHermitianError,
     NotPsdError,
@@ -13,9 +14,11 @@ from anumrad import (
     psd_decompose,
     spectral_norm,
 )
+from anumrad.linalg import as_matrix, as_square_matrix, as_vector
 
 
 def random_psd(rng, n, rank):
+    """GG* for a complex Gaussian n x rank G: PSD of that rank."""
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     return g @ g.conj().T
 
@@ -84,6 +87,35 @@ class TestHermitianEig:
     def test_rejects_material_asymmetry(self):
         with pytest.raises(NotHermitianError):
             psd_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestInputValidation:
+    """The coercions refuse what no computation can use, each with its own
+    error type."""
+
+    @pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 2)), np.zeros((2, 0))])
+    def test_matrix_must_be_nonempty_2d(self, m):
+        with pytest.raises(LinAlgInputError, match="nonempty 2-d") as exc:
+            as_matrix(m)
+        assert exc.type is LinAlgInputError
+
+    def test_square_matrix_of_the_wrong_dimension(self):
+        with pytest.raises(DimensionMismatchError, match="expected dimension 3, got 2"):
+            as_square_matrix(np.eye(2), 3)
+
+    @pytest.mark.parametrize(
+        "x, dim, error, match",
+        [
+            (np.ones((2, 2)), None, LinAlgInputError, "1-d"),
+            ([1.0, np.nan], None, LinAlgInputError, "non-finite"),
+            ([1.0, np.inf], 2, LinAlgInputError, "non-finite"),
+            ([1.0, 2.0], 3, DimensionMismatchError, "expected length 3, got 2"),
+        ],
+    )
+    def test_vector_shape_entries_and_length(self, x, dim, error, match):
+        with pytest.raises(error, match=match) as exc:
+            as_vector(x, dim)
+        assert exc.type is error
 
 
 class TestSpectralNorm:

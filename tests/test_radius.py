@@ -150,9 +150,10 @@ def first_level_is_flat(op, grid_n):
 
 
 def record_profile_calls(monkeypatch):
-    """Patch radius._extremes, through which every eigensolve of f passes (the
-    scan's grid batches, the polish's phase_profile calls and the grid
-    reads), to record the angle count of each call."""
+    """Patch radius._extremes, through which every eigensolve of f in radius
+    passes (the scan's grid batches, the polish's phase_profile calls and
+    the grid reads), to record the angle count of each call. part_norms
+    calls space._extremes directly, so its solve is not recorded."""
     calls = []
     extremes = radius._extremes
 
@@ -868,16 +869,18 @@ class TestRangeCloud:
     @pytest.mark.parametrize("construction", ADJOINTABLE)
     @pytest.mark.parametrize("n_theta", [1, 2, 3, 37, 90, 360])
     def test_matches_one_solve_per_direction(self, construction, n_theta):
-        # thetas and interior points bit for bit; boundary points to rounding
-        # wherever the top eigenvalue is simple (there the support point is
-        # unique).
+        # thetas bit for bit; interior points from the same draws to
+        # rounding (the real-form arithmetic against the complex reference);
+        # boundary points to rounding wherever the top eigenvalue is simple
+        # (there the support point is unique).
         for dim, rank_a in ((2, 2), (5, 3), (8, 8)):
             op = make_op(*gen_instance(InstanceSpec(dim=dim, rank_a=rank_a, construction=construction, seed=dim)))
             cloud = range_cloud(op, n_theta, seed=3)
             thetas, boundary, interior = cloud_reference(op, n_theta, seed=3)
             assert np.array_equal(cloud.thetas[:n_theta], thetas)
             assert np.isnan(cloud.thetas[n_theta:]).all()
-            assert np.array_equal(cloud.points[n_theta:], interior)
+            moved = np.abs(cloud.points[n_theta:] - interior)
+            assert moved.max() <= 4 * op.ctx.rank * np.finfo(float).eps * op.seminorm
             spectra = support_spectra(op, thetas)
             simple = spectra[:, -1] - spectra[:, -2] > 1e-3 * op.seminorm
             moved = np.abs(cloud.points[:n_theta] - boundary)[simple]

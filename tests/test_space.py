@@ -24,14 +24,9 @@ from anumrad import (
 from anumrad import bounds
 from anumrad.linalg import TolerancePolicy
 
+from test_linalg import random_psd
+
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-
-def random_psd(rng, n, rank):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    w, u = np.linalg.eigh(g @ g.conj().T)
-    w[: n - rank] = 0.0
-    return (u * w) @ u.conj().T
 
 
 def random_adjointable(rng, n, rank):
