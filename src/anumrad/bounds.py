@@ -6,8 +6,8 @@ The evaluators read the per-operator norms cached on :class:`AOperator`
 th1-th4's proofs), so each is computed once per operator however many
 bounds use it. The commutator bounds take T's enclosure and its grid. The
 radius of each product M = TX +- YT is first bounded by w_A(M) <= ||M||_A,
-sigma_max of its compression. M gets an unrefined radius scan at T's grid
-(they read only upper ends) only when that norm cannot show each bound it
+sigma_max of its compression. M gets a radius scan at T's grid (its upper
+end is what the bounds read) only when that norm cannot show each bound it
 meets to hold and not be tight. The two equality diagnostics read no
 profile: ``radius._is_disk`` decides each from T's enclosure and, unless
 that lies above the target, from one eigvalsh of two r x r matrices
@@ -85,7 +85,7 @@ class CommutatorComparison:
     products they improve on, plus upper ends w_plus and w_minus of the radii
     of TS + ST and TS - ST (see ``_commutator_radius``): ||M||_A where that
     alone shows w_A(M) below min(refined31, refined32), not close to it, and
-    otherwise the grid-certified upper end of the scan. ``inequality_reports``
+    otherwise the certified upper end of the scan. ``inequality_reports``
     checks it as the reports cmp_refined, cmp_w_plus and cmp_w_minus."""
 
     alpha1: float
@@ -180,8 +180,8 @@ def _commutator_radius(op_t, op_x, op_y, s, grid_n, rhs) -> float:
     """An upper end of w_A(M), M = TX + sYT, that decides every upper bound
     r in rhs as a grid scan would. w_A(M) <= ||M||_A = sigma, so sigma is
     returned when it is at most each r and close to none: then each report
-    holds and is not tight. Otherwise it is the grid-certified upper end of
-    an unrefined scan of M at grid_n; nothing reads its lower end. B_A(H) is
+    holds and is not tight. Otherwise it is the certified upper end of a
+    scan of M at grid_n; nothing reads its lower end. B_A(H) is
     an algebra and an adjointable T maps null(A) into null(A), so
     compress(TX) = compress(T) compress(X) needs no second Douglas check."""
     tol = op_t.ctx.tol
@@ -191,7 +191,7 @@ def _commutator_radius(op_t, op_x, op_y, s, grid_n, rhs) -> float:
     if all(tol.at_most(sigma, r) and not tol.close(sigma, r) for r in rhs):
         return sigma
     prod = AOperator(op_t.ctx, op_t.t @ op_x.t + s * (op_y.t @ op_t.t), c)
-    return radius_theta_scan(prod, grid_n, refine=False).upper
+    return radius_theta_scan(prod, grid_n).upper
 
 
 def _reduced_radii(op: AOperator, w: float) -> tuple[float, float]:
@@ -243,7 +243,7 @@ def commutator_compare(op_t: AOperator, op_s: AOperator, rad_t: RadiusEstimate) 
     rad_t's grid."""
     _require_same_context(op_t, op_s)
     grid_n = rad_t.grid_n
-    wt, ws = rad_t.upper, radius_theta_scan(op_s, grid_n, refine=False).upper
+    wt, ws = rad_t.upper, radius_theta_scan(op_s, grid_n).upper
     nt, ns = op_t.seminorm, op_s.seminorm
     red_t, red_s = _reduced_radii(op_t, wt), _reduced_radii(op_s, ws)
     alpha1, beta1 = ns * red_t[0], ns * red_t[1]

@@ -1,20 +1,20 @@
 """A-numerical radius with certified enclosures.
 
 w_A(T) equals the supremum over theta of f(theta) = ||Re_A(e^{i theta}T)||_A.
-In range(A) coordinates f is the support function of conv(W u -W), where
-W = W_A(T) is the numerical range of T's compression, so that set lies
-inside the wedge cut by its support lines at the two ends of any grid cell,
-and f is at most the distance of their meeting vertex on the cell: the
-outer polygon of C. R. Johnson (SIAM J. Numer. Anal. 15, 1978). A cell of
-width d whose end values are at most M therefore holds f <= M / cos(d / 2),
-which turns the scan into a certified enclosure. The scan runs on nested
-grids and refines only the cells whose vertex bound still exceeds the
-largest value seen, with the enclosure of the full uniform grid or a
-tighter one. A flat profile, as on an origin disk W, prunes nothing; when
-the coarsest grid is flat the scan certifies its maximum plus a guard as
-the upper end by one level-set check instead (Mengi & Overton, IMA J.
-Numer. Anal. 25, 2005; Uhlig, Numer. Algorithms 52, 2009): no real theta
-makes that level an eigenvalue of H(theta).
+The scan solves f at 8 seed angles, polishes the best of them, and
+certifies that maximum plus a guard as the upper end by one level-set check
+(Mengi & Overton, IMA J. Numer. Anal. 25, 2005; Uhlig, Numer. Algorithms
+52, 2009): no real theta makes that level an eigenvalue of H(theta). Else
+the check runs at a grid's maximum, or the grid certifies. In range(A)
+coordinates f is the support function of conv(W u -W), where W = W_A(T) is
+the numerical range of T's compression, so that set lies inside the wedge
+cut by its support lines at the two ends of any grid cell, and f is at most
+the distance of their meeting vertex on the cell: the outer polygon of C.
+R. Johnson (SIAM J. Numer. Anal. 15, 1978). A cell of width d whose end
+values are at most M therefore holds f <= M / cos(d / 2). The fallback runs
+on nested grids and refines only the cells whose vertex bound still
+exceeds the largest value seen, with the enclosure of the full uniform grid
+or a tighter one.
 
 Whether W is an origin disk is decided without a grid, from the
 enclosure and the support function at four fixed directions (``_is_disk``).
@@ -45,15 +45,15 @@ class DegenerateRankError(LinAlgInputError):
 class RadiusEstimate:
     """Certified enclosure lower <= w_A(T) <= upper.
 
-    theta_star is the (refined) maximizer of f on [0, pi). grid_n is the
-    requested grid: the finest spacing pi / grid_n that the nested, pruned
-    scan may reach, and the scale of its guard. lower comes from the maximum
-    of f over the angles the scan solved, raised by a parabolic search around
-    its argmax. upper comes from the larger of the grid maximum and the
-    support-line vertices of the finest surviving cells, never above the
-    uniform grid's certificate, which keeps upper <= lower / cos(pi / (2 grid_n));
-    or, when the coarsest grid is flat and the level-set check passes, from
-    that grid's maximum plus the guard, 2 guards above lower at most.
+    theta_star is the polished maximizer of f on [0, pi), and lower is f
+    there minus the guard. grid_n sets the guard, (1 / grid_n)^2 1e-3 of
+    that maximum, and the finest spacing pi / grid_n of the fallback grid.
+    When the level-set check passes, upper is the maximum plus the guard,
+    2e-3 / grid_n^2 relative above lower at most; the seed's maximum does
+    not depend on grid_n, so a finer grid never loosens what it certifies.
+    If the check fails at the grid's maximum too, upper is the larger of the
+    grid maximum and the finest surviving cells' support-line vertices,
+    never above the uniform grid's certificate: upper <= lower / cos(pi / (2 grid_n)).
     """
 
     lower: float
@@ -167,22 +167,32 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
     return theta_star, best
 
 
-def _level_clear(op: AOperator, gamma: float) -> bool:
+def _level_clear(op: AOperator, gamma: float, anchor: float = 0.0) -> bool:
     """True when no real theta makes gamma an eigenvalue of H(theta), given
-    H_re + gamma I positive definite (else False, as its Cholesky fails),
-    which any gamma > f(0) = ||H_re|| meets; then f < gamma on [0, pi).
+    P + gamma I positive definite for P = H(anchor) (else False, as its
+    Cholesky fails), which any gamma > f(anchor) meets; then f < gamma on
+    [0, pi).
 
-    Why that suffices: lambda_max(H(theta)) is continuous on [0, 2 pi),
-    below gamma at theta = pi, where H(pi) = -H_re, and never equal to it,
-    so it stays below gamma, and f(theta) = max(lambda_max(H(theta)),
-    lambda_max(H(theta + pi))). The substitution s = tan(theta / 2) covers
-    every theta but pi. Multiplied by 1 + s^2, H(theta) - gamma I becomes
-    the quadratic pencil (H_re - gamma I) - 2 s H_im - s^2 (H_re + gamma I).
-    H_re + gamma I = L L*, and the congruence by L^-1 turns the pencil into
-    B0 + s B1 - s^2 I with
-    B0 = I - 2 gamma L^-1 L^-*, B1 = -2 L^-1 H_im L^-*, whose eigenvalues s
+    P and Q = -H(anchor + pi/2) are the Cartesian parts of the compression
+    of e^{i anchor} T, so H(anchor + psi) = cos(psi) P - sin(psi) Q. Why the
+    check suffices: lambda_max(H(theta)) is continuous on [0, 2 pi), below
+    gamma at theta = anchor + pi, where H = -P, and never equal to it, so
+    it stays below gamma, and f(theta) = max(lambda_max(H(theta)),
+    lambda_max(H(theta + pi))). The substitution s = tan(psi / 2) covers
+    every theta but anchor + pi. Multiplied by 1 + s^2,
+    H(anchor + psi) - gamma I becomes the quadratic pencil
+    (P - gamma I) - 2 s Q - s^2 (P + gamma I). P + gamma I = L L*, and the
+    congruence by L^-1 turns the pencil into B0 + s B1 - s^2 I with
+    B0 = I - 2 gamma L^-1 L^-*, B1 = -2 L^-1 Q L^-*, whose eigenvalues s
     are those of the 2r x 2r companion C = [[0, I], [B0, B1]]. A crossing is
     a real s.
+
+    Any anchor gives the same answer in exact arithmetic, but a nearly
+    singular P + gamma I blows up ||C||_F and with it the bound tau below.
+    P = cos(anchor) H_re - sin(anchor) H_im and Q = sin(anchor) H_re +
+    cos(anchor) H_im round by a few eps ||H||, and by Weyl so does each
+    eigenvalue of the pencil: far below any guard. At anchor 0 they are
+    H_re and H_im themselves.
 
     How far off the real axis a crossing can be computed: eigvals (LAPACK
     geev, balancing and the QR algorithm) returns the exact eigenvalues of
@@ -192,7 +202,7 @@ def _level_clear(op: AOperator, gamma: float) -> bool:
     moves by kappa u ||C||_F, and the two roots that meet where gamma just
     touches a peak of the profile split by about (u ||C||_F)^(1/2) =: rho,
     the larger of the two whenever u ||C||_F < 1 and kappa is of order one.
-    The imaginary part of theta = 2 arctan s is atanh(q) with
+    The imaginary part of psi = 2 arctan s is atanh(q) with
     q = 2 |Im s| / (1 + |s|^2), and a root s0 + ds with real s0 has
     q <= 2 |ds|. So every crossing is computed with q <= tau = 2 rho, and
     the check passes only when every s has q > tau. A needless fallback costs
@@ -203,31 +213,81 @@ def _level_clear(op: AOperator, gamma: float) -> bool:
     disk W (AT^2 = 0, the shift J_n) makes the spectrum of H(theta) the same
     at every complex theta, so its roots sit at s = +-i, q = 1, and the
     rounding spreads them only to q >= 0.14 for J_64 (tau = 1.1e-2 there,
-    where ||C||_F ~ 2 gamma / (gamma - ||H_re||) ~ 1e9). Where gamma lies g
-    above a sharp peak of f, the nearest roots have q ~ (2 g / gamma)^(1/2),
-    since f'' >= -f for a support function: 6.2e-5 for the scan's guard at
-    grid_n = 720. A peak that close to gamma passes only when tau is below
-    that; otherwise the scan falls back to its grid.
+    where ||C||_F ~ 2 gamma / (gamma - ||H_re||) ~ 1e9 at every anchor). Where
+    gamma lies g above a sharp peak of f, the nearest roots have
+    q ~ (2 g / gamma)^(1/2), since f'' >= -f for a support function: 6.2e-5
+    for the scan's guard at grid_n = 720. A peak that close to gamma passes
+    only when tau is below that; otherwise the scan falls back to its grid.
     """
     r = op.ctx.rank
+    p, q = op.h_re, op.h_im
+    if anchor:
+        cos_a, sin_a = math.cos(anchor), math.sin(anchor)
+        p, q = cos_a * p - sin_a * q, sin_a * p + cos_a * q
     try:
-        chol = np.linalg.cholesky(op.h_re + gamma * np.eye(r))
-    except np.linalg.LinAlgError:  # gamma <= -lambda_min(H_re) up to rounding
+        chol = np.linalg.cholesky(p + gamma * np.eye(r))
+    except np.linalg.LinAlgError:  # gamma <= -lambda_min(P) up to rounding
         return False
     inv = np.linalg.inv(chol)
     b0 = np.eye(r) - (2.0 * gamma) * (inv @ inv.conj().T)
-    b1 = -2.0 * (inv @ op.h_im @ inv.conj().T)
+    b1 = -2.0 * (inv @ q @ inv.conj().T)
     companion = np.block([[np.zeros((r, r)), np.eye(r)], [b0, b1]])
-    s = np.linalg.eigvals(companion)
+    roots = np.linalg.eigvals(companion)
     tau = 2.0 * math.sqrt(2 * r * np.finfo(float).eps * np.linalg.norm(companion))
-    return bool((2.0 * np.abs(s.imag) > tau * (1.0 + np.abs(s) ** 2)).all())
+    return bool((2.0 * np.abs(roots.imag) > tau * (1.0 + np.abs(roots) ** 2)).all())
 
 
-def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> RadiusEstimate:
-    """Certified enclosure of w_A(T) via a nested, pruned theta scan over [0, pi).
+def _guard(value: float, grid_n: int) -> float:
+    """value (1 / grid_n)^2 1e-3, taken from lower and added to upper: far
+    above eigh rounding noise and far below the grid certificate's width."""
+    return value * (math.pi / grid_n / math.pi) ** 2 * 1e-3
 
-    f has period pi (negating Re_A(e^{i theta}T) preserves the seminorm).
-    Every angle is k pi/grid_n for an integer k. The scan starts on the
+
+def radius_theta_scan(op: AOperator, grid_n: int = 720) -> RadiusEstimate:
+    """Certified enclosure of w_A(T) from a small seed, a polish and one
+    level-set check, with a pruned grid scan as the fallback.
+
+    The scan solves the 8 angles k pi / 8 in one batch, polishes the best of
+    them inside its +-pi/8 bracket (``_polish``) to best = f(theta_star),
+    and asks ``_level_clear`` whether any real theta makes
+    gamma = best + guard an eigenvalue of H(theta). If none does, f < gamma
+    everywhere and the enclosure is [best - guard, best + guard]. The
+    check's anchor is the seed direction (an angle or its antipode) whose H
+    has the largest lambda_min, so H(anchor) + gamma I is as far from
+    singular as the seed shows. When the check finds a crossing, or f is 0
+    at every seed angle, the polished seed is dropped for ``_grid_scan``,
+    whose polished maximum meets the same check: if it passes, upper drops
+    to that maximum plus the guard, else the grid's enclosure stands.
+
+    grid_n sets the guard, best (1 / grid_n)^2 1e-3, and so the certified
+    width, and it sets the fallback's finest grid. The seed does not depend
+    on grid_n, so best is the same at every grid: when the seed certifies
+    both scans, doubling the grid only narrows the enclosure.
+    """
+    grid_n = as_count(grid_n, "grid_n", 4)
+    step = math.pi / 8
+    lam = _extremes(op, np.arange(8) * step)
+    vals = _magnitude(lam)
+    j = int(np.argmax(vals))
+    # lambda_min of H(k pi / 8) for k < 8, then of H(k pi / 8 + pi) = -H(k pi / 8).
+    anchor = int(np.argmax(np.concatenate([lam[:, 0], -lam[:, 1]]))) * step
+    if vals[j] > 0.0:
+        theta_star, best = _polish(op, j * step, step, float(vals[j - 1]), float(vals[j]), float(vals[(j + 1) % 8]))
+        guard = _guard(best, grid_n)
+        if _level_clear(op, best + guard, anchor):
+            return RadiusEstimate(max(best - guard, 0.0), best + guard, theta_star % math.pi, grid_n)
+    grid, best = _grid_scan(op, grid_n)
+    guard = _guard(best, grid_n)
+    if best + guard < grid.upper and _level_clear(op, best + guard, anchor):
+        return RadiusEstimate(grid.lower, best + guard, grid.theta_star, grid_n)
+    return grid
+
+
+def _grid_scan(op: AOperator, grid_n: int) -> tuple[RadiusEstimate, float]:
+    """The fallback of ``radius_theta_scan``: a nested, pruned theta scan's
+    enclosure and its polished maximum f(theta_star).
+
+    f has period pi, and every angle is k pi/grid_n for an integer k. The scan starts on the
     coarsest grid of grid_n/2^j points that is still >= 32 (j = 0 when
     grid_n is odd or below 64) and halves the spacing per level down to
     pi/grid_n, the finest spacing. Each level bounds f on every live cell
@@ -244,25 +304,11 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     cells are a subset of the uniform grid's cells, so ``upper`` is never
     above the uniform grid's certificate.
 
-    A flat profile prunes nothing, so the first level is tested first: when
-    every value on it is ``tol.close`` to their maximum M > 0 and
-    ``_level_clear`` finds no angle where f reaches M + guard, the scan
-    stops there with upper = M + guard (the same with or without
-    refinement), 2 guards above lower at most. When the check
-    cannot rule out a crossing, the scan goes on exactly as for any other
-    profile. A first level that is not flat never meets the check.
-
-    The grid maximum is a certified lower bound. Refinement, a parabolic
-    search seeded by the grid argmax and its two neighbours at spacing
-    pi / grid_n (``_polish``, about five single-angle calls), can only raise
-    it and never touches the upper certificate, which reads grid values
-    only.
-
-    refine=False is for callers that read only ``upper``, which does not
-    depend on it: the commutator bounds, which scan each operator they
-    build once and skip the polish.
+    The grid maximum is a certified lower bound. A parabolic search seeded
+    by the grid argmax and its two neighbours at spacing pi / grid_n
+    (``_polish``, about five single-angle calls) can only raise it and never
+    touches the upper certificate, which reads grid values only.
     """
-    grid_n = as_count(grid_n, "grid_n", 4)
     delta = math.pi / grid_n
     n_coarse = grid_n
     while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
@@ -272,21 +318,10 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     def profile(index: np.ndarray) -> np.ndarray:
         return _magnitude(_extremes(op, index * delta))
 
-    def guard(grid_max: float) -> float:
-        # Of order grid_max / grid_n^2, subtracted from the lower bound and
-        # added to the upper: orders of magnitude above eigh rounding noise
-        # yet far below the certificate width, it absorbs evaluation noise
-        # so that the enclosure stays valid and doubling the grid never
-        # loosens it.
-        return grid_max * (delta / math.pi) ** 2 * 1e-3
-
     vals = np.full(grid_n, -np.inf)  # f at k delta; -inf where not evaluated
     left = new = np.arange(0, grid_n, step)  # left ends of the live cells
-    vals[new] = first = profile(new)
-    top = float(first.max())
-    # f >= 0, so every value is close to the maximum when the least one is.
-    flat = top > 0.0 and bool(op.ctx.tol.close(first.min(), top)) and _level_clear(op, top + guard(top))
-    while not flat:
+    vals[new] = profile(new)
+    while True:
         # f has period pi, so the last cell ends at f(0).
         bounds = _cell_bounds(vals[left], vals[(left + step) % grid_n], step * delta)
         left = left[bounds > vals.max()]
@@ -299,7 +334,7 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
     j = int(np.argmax(vals))  # ties broken by smallest theta
     grid_max = float(vals[j])
     theta_star, best = j * delta, grid_max
-    if refine and grid_max > 0.0:
+    if grid_max > 0.0:
         # Seed the polish with the grid's own neighbours of the argmax,
         # solving in one call whichever of them the scan skipped.
         ends = (j + np.array([-1, 1])) % grid_n
@@ -308,15 +343,10 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720, refine: bool = True) -> 
         if skipped.any():
             f_ends[skipped] = profile(ends[skipped])
         theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
-    lower = max(best - guard(grid_max), 0.0)
-    certificate = grid_max if flat else max(grid_max, float(bounds.max()))
-    upper = max(certificate + guard(grid_max), lower)
-    return RadiusEstimate(
-        lower=lower,
-        upper=upper,
-        theta_star=theta_star % math.pi,
-        grid_n=grid_n,
-    )
+    guard = _guard(grid_max, grid_n)
+    lower = max(best - guard, 0.0)
+    upper = max(max(grid_max, float(bounds.max())) + guard, lower)
+    return RadiusEstimate(lower, upper, theta_star % math.pi, grid_n), best
 
 
 def witness_value(op: AOperator, theta: float) -> float:

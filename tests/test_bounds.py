@@ -141,6 +141,15 @@ class TestRefinedLowerBounds:
         assert rep.rhs == pytest.approx(0.5, rel=1e-12)
         assert rep.holds and not rep.tight
 
+    def test_th3_tight_on_skew_diagonal(self):
+        # T = diag(1+i, 0): ||T|| = sqrt 2, ||Re + Im|| = 2 and ||Re - Im|| = 0,
+        # so rhs = sqrt 2 / 2 + 2 / (2 sqrt 2) = sqrt 2 = w. Unlike the two
+        # tests above, the refinement term is not zero here: it is half of rhs.
+        op, rad = prepared(np.eye(2), np.diag([1.0 + 1.0j, 0.0]))
+        rep = bound_th3(op, rad)
+        assert rep.rhs == pytest.approx(SQRT2, rel=1e-12)
+        assert rep.holds and rep.tight
+
     def test_th4_tight_on_skew_diagonal(self):
         # T = diag(1+i, 0): radicand (4/4 + 4/4) gives rhs = sqrt 2 = w
         op, rad = prepared(np.eye(2), np.diag([1.0 + 1.0j, 0.0]))
@@ -438,11 +447,6 @@ def test_commutator_radii_share_one_unrefined_path(construction, rank_a):
     reports = commutator_th5(op_t, op_s, op_s, rad_t)
     assert cmp.w_plus == reports[0].lhs
     assert cmp.w_minus == reports[3].lhs
-    # The refinement moves only the lower end, so unrefined scans give the same upper.
-    ts, st = op_t.t @ op_s.t, op_s.t @ op_t.t
-    for op in (op_t, op_s, make_a_operator(ctx, ts + st), make_a_operator(ctx, ts - st)):
-        for grid_n in (64, 720):
-            assert radius_theta_scan(op, grid_n, refine=False).upper == radius_theta_scan(op, grid_n).upper
 
 
 @pytest.mark.parametrize("grid_n", [90, 720])
@@ -511,7 +515,7 @@ def test_attaining_commutator_is_still_scanned(monkeypatch):
     cmp = commutator_compare(op_t, op_s, rad_t)
     compare_mats = counted[0] - before
     before = counted[0]
-    radius_theta_scan(op_s, rad_t.grid_n, refine=False)
+    radius_theta_scan(op_s, rad_t.grid_n)
     # S's own scan, then a scan of TS + ST
     assert compare_mats > counted[0] - before
     assert cmp.w_plus == reports[0, "lem1"].lhs

@@ -356,7 +356,7 @@ class TestSuite:
             def scanned(x, y, s):
                 c = op.compressed @ x.compressed + s * (y.compressed @ op.compressed)
                 prod = AOperator(ctx, op.t @ x.t + s * (y.t @ op.t), c)
-                return radius_theta_scan(prod, config.grid_n, refine=False).upper
+                return radius_theta_scan(prod, config.grid_n).upper
 
             op_x, op_y = gen_partner(ctx, [spec.seed, 2]), gen_partner(ctx, [spec.seed, 3])
             th5 = [r for r in ev.reports if r.formula_id in ("lem1", "th5_i", "th5_ii")]

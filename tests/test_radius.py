@@ -20,6 +20,7 @@ from anumrad import (
     radius_sampling,
     radius_theta_scan,
     range_cloud,
+    run_suite,
     witness_value,
 )
 from anumrad import radius
@@ -56,9 +57,10 @@ def uniform_reference(op, grid_n):
 
 
 def bracket_oracle(op, grid_n, rounds=25):
-    """High-effort reference for the refined lower end: the former bracket
-    search, six probes at quarter steps around the best point per round,
-    the step quartered each round, run for 25 rounds instead of 7."""
+    """High-effort reference for the refined lower end and the maximum it
+    is read from: the former bracket search, six probes at quarter steps
+    around the best point per round, the step quartered each round, run for
+    25 rounds instead of 7."""
     delta = math.pi / grid_n
     vals = phase_profile(op, np.arange(grid_n) * delta)
     j = int(np.argmax(vals))
@@ -73,7 +75,7 @@ def bracket_oracle(op, grid_n, rounds=25):
             if probed[k] > best:
                 theta_star, best = float(probes[k]), float(probed[k])
             h /= 4.0
-    return max(best - guard, 0.0)
+    return max(best - guard, 0.0), best
 
 
 def cosine_cell_bounds(fa, fb, width):
@@ -165,6 +167,14 @@ def record_profile_calls(monkeypatch):
     return calls
 
 
+def unpolished_grid_scan(monkeypatch, op, grid_n):
+    """The fallback grid scan with its polish replaced by a no-op, so that
+    its lower end is the grid maximum minus the guard."""
+    with monkeypatch.context() as patch:
+        patch.setattr(radius, "_polish", lambda op, x, delta, fa, fx, fb: (x, fx))
+        return radius._grid_scan(op, grid_n)[0]
+
+
 def count_mats(monkeypatch, name):
     """Patch np.linalg.<name> to count the matrices it is given."""
     counted = [0]
@@ -230,12 +240,13 @@ class TestThetaScan:
         assert rad.lower == 0.0
         assert rad.upper == 0.0
 
-    def test_refine_only_raises_lower(self):
-        # pick an operator whose maximizer falls off the grid
+    def test_refine_only_raises_lower(self, monkeypatch):
+        # pick an operator whose maximizer falls off the grid: the fallback
+        # scan's polish raises its lower end and leaves its upper alone
         t = np.exp(0.123j) * np.diag([1.0, -1.0]).astype(complex)
         op = make_op(np.eye(2), t)
-        coarse = radius_theta_scan(op, grid_n=64, refine=False)
-        refined = radius_theta_scan(op, grid_n=64, refine=True)
+        coarse = unpolished_grid_scan(monkeypatch, op, 64)
+        refined = radius._grid_scan(op, 64)[0]
         assert refined.lower >= coarse.lower
         assert refined.upper == coarse.upper
         assert refined.lower == pytest.approx(1.0, abs=1e-6)
@@ -263,23 +274,30 @@ class TestThetaScan:
 
 @pytest.mark.parametrize("grid_n", [8, 64, 181, 720])
 def test_refinement_call_budget(monkeypatch, grid_n):
-    # The polish adds at most one call for the argmax's grid neighbours that
-    # pruning skipped, then one angle per call: at most 42 angles in all,
-    # which the former bracket search spent on every operator, and at most
-    # 12 from grid 181 on.
+    # The fallback's polish adds one angle per call after the grid: at most
+    # 42 angles in all, which the former bracket search spent on every
+    # operator, and at most 12 from grid 181 on. The scan's own polish adds
+    # one angle per call to its 8-angle seed, as few as the grid's.
     calls = record_profile_calls(monkeypatch)
     for construction in ADJOINTABLE:
         for seed in range(3):
             op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=4, construction=construction, seed=seed)))
             calls.clear()
-            radius_theta_scan(op, grid_n, refine=False)
+            unpolished_grid_scan(monkeypatch, op, grid_n)
             unrefined = list(calls)
             calls.clear()
-            radius_theta_scan(op, grid_n)
+            radius._grid_scan(op, grid_n)
             added = calls[len(unrefined) :]
             assert calls[: len(unrefined)] == unrefined
-            assert all(n == 1 for n in added[1:]) and added[:1] in ([], [1], [2])
+            assert all(n == 1 for n in added)
             assert sum(added) <= (12 if grid_n >= 181 else 42)
+            calls.clear()
+            grids, scan = [], radius._grid_scan
+            with monkeypatch.context() as patch:
+                patch.setattr(radius, "_grid_scan", lambda op, n: grids.append(n) or scan(op, n))
+                radius_theta_scan(op, grid_n)
+            if not grids:  # certified by the level set
+                assert calls[0] == 8 and all(n == 1 for n in calls[1:]) and len(calls) <= 1 + 12
 
 
 def test_polish_stops_at_a_vertex_on_the_best_point(monkeypatch):
@@ -301,44 +319,47 @@ def test_polish_stops_at_a_vertex_on_the_best_point(monkeypatch):
 @pytest.mark.parametrize("rank_a", [5, 3])
 @pytest.mark.parametrize("grid_n", [8, 64, 181, 720, 1440])
 def test_polish_matches_bracket_oracle(monkeypatch, construction, rank_a, grid_n):
-    # The parabolic polish reaches the 25-round bracket search's lower end to
-    # 1e-13 relative, never lowers the grid's lower end, leaves upper alone,
-    # and adds at most 12 eigensolves from grid 181 on, 42 at every grid.
+    # The fallback's parabolic polish reaches the 25-round bracket search's
+    # lower end to 1e-13 relative, never lowers the grid's lower end, leaves
+    # upper alone, and adds at most 12 eigensolves from grid 181 on, 42 at
+    # every grid. The scan's polish of its seed reaches it as closely.
     counted = count_mats(monkeypatch, "eigvalsh")
     for seed in range(3):
         op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=rank_a, construction=construction, seed=seed)))
         counted[0] = 0
-        coarse = radius_theta_scan(op, grid_n, refine=False)
+        coarse = unpolished_grid_scan(monkeypatch, op, grid_n)
         unrefined = counted[0]
         counted[0] = 0
-        refined = radius_theta_scan(op, grid_n)
+        refined = radius._grid_scan(op, grid_n)[0]
         assert counted[0] - unrefined <= (12 if grid_n >= 181 else 42)
         assert refined.lower >= coarse.lower
         assert refined.upper == coarse.upper
-        assert abs(refined.lower - bracket_oracle(op, grid_n)) <= 1e-13 * refined.upper
+        oracle, best = bracket_oracle(op, grid_n)
+        assert abs(refined.lower - oracle) <= 1e-13 * refined.upper
+        theta_star = radius_theta_scan(op, grid_n).theta_star
+        assert abs(phase_profile(op, theta_star)[0] - best) <= 1e-13 * refined.upper
 
 
 @pytest.mark.parametrize("construction", ADJOINTABLE)
 @pytest.mark.parametrize("rank_a", [5, 3])
 @pytest.mark.parametrize("grid_n", [8, 64, 181, 720, 1440])
 def test_pruned_scan_matches_uniform_reference(construction, rank_a, grid_n):
-    # Pruning evaluates a subset of the uniform grid's angles, bit for bit,
-    # and keeps a subset of its cells: same lower end, upper never above.
-    # A flat first level (every nilpotent_half instance) is certified by the
-    # level set instead: lower within rounding of the reference's, upper
-    # below the reference's and at most 2 guards above lower.
+    # The fallback's pruning evaluates a subset of the uniform grid's
+    # angles, bit for bit, and keeps a subset of its cells: same lower end,
+    # upper never above, flat profiles included. The scan's enclosure lies
+    # within the reference's up to 1e-13 relative and the move of the
+    # guard's argument from the grid maximum to the polished one, which the
+    # uniform bound puts at most upper (1 - cos(pi / (2 grid_n))) apart.
     for seed in range(3):
         op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=rank_a, construction=construction, seed=seed)))
-        rad = radius_theta_scan(op, grid_n)
+        rad = radius._grid_scan(op, grid_n)[0]
         lower, upper, theta_star = uniform_reference(op, grid_n)
-        if first_level_is_flat(op, grid_n):
-            assert abs(rad.lower - lower) <= 16 * math.ulp(lower)
-            assert rad.lower <= rad.upper <= upper
-            assert rad.upper - rad.lower <= 2e-3 * rad.upper / grid_n**2 + 4 * math.ulp(rad.upper)
-            continue
         assert rad.lower == lower
         assert rad.theta_star == theta_star
         assert upper - 2 * math.ulp(upper) <= rad.upper <= upper
+        scan = radius_theta_scan(op, grid_n)
+        slack = 1e-13 * upper + radius._guard(upper, grid_n) * (1.0 - math.cos(math.pi / (2 * grid_n)))
+        assert lower - slack <= scan.lower <= scan.upper <= upper + slack
 
 
 def shift(n):
@@ -364,19 +385,18 @@ NEAR_DISKS = {
 
 
 class TestFlatProfile:
-    """A flat first level is certified by one level-set check: upper is its
-    maximum plus the guard, 2 guards above lower at most, from 45 + 12
-    eigvalsh matrices and one eigvals call at grid 720."""
+    """A flat profile is certified by one level-set check: upper is the
+    polished seed maximum plus the guard, 2 guards above lower at most, from
+    8 + 12 eigvalsh matrices and one eigvals call at grid 720."""
 
     @staticmethod
     def assert_certified(monkeypatch, op, w):
         counted, calls = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigvals")
         rad = radius_theta_scan(op)
-        assert counted[0] <= 45 + 12 and calls[0] == 1
+        assert counted[0] <= 8 + 12 and calls[0] == 1
         assert rad.lower <= w <= rad.upper
         assert rad.upper - rad.lower <= 2e-3 * rad.upper / 720**2 + 4 * math.ulp(rad.upper)
         assert rad.grid_n == 720
-        assert radius_theta_scan(op, refine=False).upper == rad.upper
         # W is the origin disk of radius w: lambda_max(H_re) = w
         disk = disk_test(op)
         assert disk.is_disk and abs(disk.radius_k - w) <= 1e-12 * w
@@ -402,8 +422,9 @@ class TestFlatProfile:
 
 
 class TestFlatProfileFallback:
-    """A flat first level whose level-set check finds a crossing goes on as
-    a grid scan. The pinned enclosures are the grid scan's, bit for bit."""
+    """A profile flat on the fallback's first level, whose level-set check
+    finds a crossing, goes on as a grid scan. The pinned enclosures are the
+    grid scan's, bit for bit."""
 
     @staticmethod
     def scan_falls_back(monkeypatch, op):
@@ -425,11 +446,19 @@ class TestFlatProfileFallback:
     @pytest.mark.parametrize("phi", [math.pi / 90, math.pi / 180])
     def test_regular_polygon_off_the_coarse_grid(self, monkeypatch, phi):
         # The regular 45-gon diag(e^{i (2 pi k / 45 + phi)}): its vertices
-        # lie off the coarse angles, so every coarse value is below w = 1.
+        # lie off the fallback's coarse angles, so every coarse value is
+        # below w = 1, and the grid scan runs to its finest level. The scan
+        # itself polishes a vertex and certifies it with no grid.
         t = np.diag(np.exp(1j * (2 * math.pi * np.arange(45) / 45 + phi)))
-        rad = self.scan_falls_back(monkeypatch, make_op(np.eye(45), t))
-        assert (rad.lower, rad.upper) == (0.9999999980709878, 1.0000000019290125)
+        op = make_op(np.eye(45), t)
+        assert first_level_is_flat(op, 720)
+        grid = radius._grid_scan(op, 720)[0]
+        assert (grid.lower, grid.upper) == (0.9999999980709878, 1.0000000019290125)
+        counted, calls = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigvals")
+        rad = radius_theta_scan(op)
+        assert counted[0] <= 8 + 12 and calls[0] == 1
         assert rad.lower <= 1.0 <= rad.upper
+        assert grid.lower - 1e-13 <= rad.lower and rad.upper <= grid.upper + 1e-13
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -444,6 +473,85 @@ def test_perturbed_shift_upper_covers_the_profile(n, log_eps, seed):
     op = make_op(np.eye(n), shift(n) + 10.0**log_eps * g)
     rad = radius_theta_scan(op)
     assert rad.upper >= phase_profile(op, np.linspace(0.0, math.pi, 20_001)).max()
+
+
+class TestAnchoredLevelCheck:
+    """At A = I_2 and T = diag(1, -1), H(theta) = cos(theta) T: H(0) + gamma I
+    = diag(1 + gamma, gamma - 1) is within a guard of singular at
+    gamma = 1 + guard, while H(pi/2) + gamma I = gamma I is not."""
+
+    OP_ARGS = (np.eye(2), np.diag([1.0, -1.0]))
+
+    def test_anchor_clears_what_angle_zero_cannot(self):
+        op = make_op(*self.OP_ARGS)
+        gamma = 1.0 + radius._guard(1.0, 720)
+        assert not radius._level_clear(op, gamma)
+        assert radius._level_clear(op, gamma, math.pi / 2)
+
+    def test_scan_certifies_without_a_grid(self, monkeypatch):
+        # The seed's lambda_min is largest at pi / 2, so the scan anchors
+        # there: one eigvals, no grid, and the grid scan's enclosure bit for
+        # bit, since f(0) = 1 is on both grids and the guard reads it.
+        op = make_op(*self.OP_ARGS)
+        calls = record_profile_calls(monkeypatch)
+        checks = count_mats(monkeypatch, "eigvals")
+        rad = radius_theta_scan(op)
+        assert calls[0] == 8 and all(n == 1 for n in calls[1:]) and len(calls) <= 1 + 12
+        assert checks[0] == 1
+        assert (rad.lower, rad.upper, rad.theta_star) == (0.9999999980709876, 1.0000000019290123, 0.0)
+        assert rad == radius._grid_scan(op, 720)[0]
+
+    @pytest.mark.parametrize("construction", ADJOINTABLE)
+    def test_every_seed_anchor_decides_alike(self, construction):
+        # The anchor changes the pencil, not its real roots: a level below
+        # w_A(T) is crossed from each of the 16 seed directions, and a level
+        # 1e-3 above upper, where P + gamma I is at least 1e-3 gamma from
+        # singular, is cleared from each.
+        for seed in range(4):
+            op = make_op(*gen_instance(InstanceSpec(dim=6, rank_a=5, construction=construction, seed=seed)))
+            rad = radius_theta_scan(op)
+            for k in range(16):
+                assert not radius._level_clear(op, rad.lower * (1.0 - 1e-7), k * math.pi / 8)
+                assert radius._level_clear(op, rad.upper * (1.0 + 1e-3), k * math.pi / 8)
+
+    def test_fallback_maximum_is_certified(self, monkeypatch):
+        # Seed-7 suite instance 106: f has local maxima 0.72116 and 0.72335,
+        # and the seed's polish finds the lower one, so its check fails and
+        # the grid runs. The grid's polished maximum then clears at the same
+        # anchor: the grid's lower end, an upper end one guard above its
+        # maximum, and so the width of a seed-certified scan.
+        op = make_op(*gen_instance(InstanceSpec(dim=3, rank_a=2, construction="random", seed=7000127)))
+        grid, best = radius._grid_scan(op, 720)
+        checks = count_mats(monkeypatch, "eigvals")
+        rad = radius_theta_scan(op)
+        assert checks[0] == 2
+        assert (rad.lower, rad.theta_star) == (grid.lower, grid.theta_star)
+        assert rad.upper == best + radius._guard(best, 720) < grid.upper
+        assert rad.upper - rad.lower <= 2e-3 * rad.upper / 720**2 + 4 * math.ulp(rad.upper)
+        assert rad.lower <= witness_value(op, rad.theta_star) <= rad.upper
+
+
+class TestEigensolveBudget:
+    """Eigensolves per certified digit: a certified scan costs its 8-angle
+    seed, a polish and one level-set check instead of a pruned grid."""
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_certified_dim_64_scan(self, monkeypatch, seed):
+        # 2.4e-6 wide from about 149 eigvalsh matrices at the grid, 3.9e-9
+        # wide from at most 16, one Cholesky factor and one 128 x 128 eigvals.
+        op = make_op(*gen_instance(InstanceSpec(dim=64, rank_a=64, construction="random", seed=seed)))
+        _ = op.h_re, op.h_im
+        counted, factors, checks = (count_mats(monkeypatch, name) for name in ("eigvalsh", "cholesky", "eigvals"))
+        rad = radius_theta_scan(op)
+        assert (counted[0] <= 16, factors[0], checks[0]) == (True, 1, 1)
+        assert rad.upper - rad.lower <= 2e-3 * rad.upper / 720**2 + 4 * math.ulp(rad.upper)
+
+    def test_suite_instance(self, monkeypatch):
+        # The seed-42 suite, every stage of it: 119.2 eigvalsh matrices per
+        # instance with a grid scan per radius, 36.4 with the level-set check.
+        counted = count_mats(monkeypatch, "eigvalsh")
+        suite = run_suite(SuiteConfig(seed=42))
+        assert counted[0] <= 40 * len(suite.evaluations)
 
 
 def test_level_check_finds_every_crossing_below_the_radius():
@@ -527,22 +635,36 @@ class TestPruning:
         t = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         op = make_op(np.eye(16), t)
         counted = count_mats(monkeypatch, "eigvalsh")
-        radius_theta_scan(op, 720, refine=False)
+        unpolished_grid_scan(monkeypatch, op, 720)
         assert counted[0] <= 240
 
     def test_flat_profile_evaluates_each_angle_once(self, monkeypatch):
-        # A flat first level stops the scan: its 45 angles, each solved once,
-        # and one level-set eigvals call.
+        # A flat profile stops the scan at its level-set check: the seed's 8
+        # angles in one call, the polish's single angles, each solved once,
+        # and one eigvals call. The fallback on it solves each of its 720
+        # grid angles once, since a flat profile prunes nothing.
         op = make_op(np.eye(2), JORDAN)
-        counted, calls = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigvals")
-        radius_theta_scan(op, 720, refine=False)
-        assert counted[0] == 45 and calls[0] == 1
+        solved = []
+        extremes = radius._extremes
+
+        def recording(op, th):
+            solved.extend(np.atleast_1d(th).tolist())
+            return extremes(op, th)
+
+        monkeypatch.setattr(radius, "_extremes", recording)
+        calls = count_mats(monkeypatch, "eigvals")
+        radius_theta_scan(op, 720)
+        assert solved[:8] == (np.arange(8) * (math.pi / 8)).tolist()
+        assert len(set(solved)) == len(solved) <= 8 + 12 and calls[0] == 1
+        solved.clear()
+        unpolished_grid_scan(monkeypatch, op, 720)
+        assert sorted(solved) == (np.arange(720) * (math.pi / 720)).tolist()
 
     def test_odd_grid_is_one_uniform_level(self, monkeypatch):
         rng = np.random.default_rng(5)
         op = make_op(np.eye(4), rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         counted = count_mats(monkeypatch, "eigvalsh")
-        radius_theta_scan(op, 181, refine=False)
+        unpolished_grid_scan(monkeypatch, op, 181)
         assert counted[0] == 181
 
 
@@ -887,7 +1009,7 @@ class TestRangeCloud:
             assert moved.max(initial=0.0) <= 1e-13 * op.seminorm
 
 
-class TestSupportStore:
+class TestScanLeavesNoState:
     """An operator keeps none of the grids solved on it, so a scan leaves
     nothing behind that changes a later read: disk_test and range_cloud
     give a scanned operator's outputs bit for bit as a fresh one's, and
