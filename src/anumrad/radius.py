@@ -4,17 +4,14 @@ w_A(T) equals the supremum over theta of f(theta) = ||Re_A(e^{i theta}T)||_A.
 The scan solves f at 8 seed angles, polishes the best of them, and
 certifies that maximum plus a guard as the upper end by one level-set check
 (Mengi & Overton, IMA J. Numer. Anal. 25, 2005; Uhlig, Numer. Algorithms
-52, 2009): no real theta makes that level an eigenvalue of H(theta). Else
-the check runs at a grid's maximum, or the grid certifies. In range(A)
-coordinates f is the support function of conv(W u -W), where W = W_A(T) is
-the numerical range of T's compression, so that set lies inside the wedge
-cut by its support lines at the two ends of any grid cell, and f is at most
-the distance of their meeting vertex on the cell: the outer polygon of C.
-R. Johnson (SIAM J. Numer. Anal. 15, 1978). A cell of width d whose end
-values are at most M therefore holds f <= M / cos(d / 2). The fallback runs
-on nested grids and refines only the cells whose vertex bound still
-exceeds the largest value seen, with the enclosure of the full uniform grid
-or a tighter one.
+52, 2009): no real theta makes that level an eigenvalue of H(theta). When
+the check finds crossings instead, they are the criss-cross iteration's
+next step: f at the midpoints of the arcs between them shows where f
+exceeds the level, the best such arc is polished, and the check repeats at
+the higher maximum. A level stuck by rounding just above a flat or sharp
+peak is raised on a ladder of checks, capped by ||T||_A. In range(A)
+coordinates f is the support function of conv(W u -W), where W = W_A(T)
+is the numerical range of T's compression, so f'' >= -f (``_polish``).
 
 Whether W is an origin disk is decided without a grid, from the
 enclosure and the support function at four fixed directions (``_is_disk``).
@@ -34,7 +31,7 @@ from .linalg import LinAlgInputError, as_count
 from .space import AOperator, _extremes, _magnitude, _support_pencils
 
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section fraction of a side, 0.381966...
-_DISK_ANGLES = np.array([0.7, 2.1])  # where _is_disk reads H(theta); irrational multiples of pi, off every grid
+_DISK_ANGLES = np.array([0.7, 2.1])  # where _is_disk reads H(theta); irrational multiples of pi, off any k pi / m
 
 
 class DegenerateRankError(LinAlgInputError):
@@ -46,14 +43,14 @@ class RadiusEstimate:
     """Certified enclosure lower <= w_A(T) <= upper.
 
     theta_star is the polished maximizer of f on [0, pi), and lower is f
-    there minus the guard. grid_n sets the guard, (1 / grid_n)^2 1e-3 of
-    that maximum, and the finest spacing pi / grid_n of the fallback grid.
-    When the level-set check passes, upper is the maximum plus the guard,
-    2e-3 / grid_n^2 relative above lower at most; the seed's maximum does
-    not depend on grid_n, so a finer grid never loosens what it certifies.
-    If the check fails at the grid's maximum too, upper is the larger of the
-    grid maximum and the finest surviving cells' support-line vertices,
-    never above the uniform grid's certificate: upper <= lower / cos(pi / (2 grid_n)).
+    there minus the guard. grid_n sets only the guard, (1 / grid_n)^2 1e-3
+    of that maximum; no grid of grid_n angles is solved. When the level-set
+    check clears at the maximum plus the guard, that is upper, 2e-3 / grid_n^2
+    relative above lower; the seed's maximum does not depend on grid_n, so a
+    finer grid never loosens what the seed certifies. A level stuck by
+    rounding just above a flat or sharp peak makes upper the first clear
+    rung of best + guard 4^k, or ||T||_A widened by its rounding bound
+    (``radius_theta_scan``).
     """
 
     lower: float
@@ -95,23 +92,10 @@ def phase_profile(op: AOperator, thetas) -> np.ndarray:
     return _magnitude(_extremes(op, th))
 
 
-def _cell_bounds(fa: np.ndarray, fb: np.ndarray, width: float) -> np.ndarray:
-    """Upper bound on f over each cell [t, t + width] from its endpoint
-    values fa = f(t) and fb = f(t + width); valid for any width below pi/2.
-
-    f is the support function of conv(W u -W), so over the cell f is at most
-    the distance to the vertex (fa, x) where the support lines at t and
-    t + width meet, in the frame of the first normal (Johnson, 1978); if the
-    vertex lies outside the cell's cone, max(fa, fb) bounds f instead.
-    """
-    cos_w = math.cos(width)
-    x = (fb - fa * cos_w) / math.sin(width)
-    inside = (x >= 0.0) & (fa >= fb * cos_w)
-    return np.where(inside, np.hypot(fa, x), np.maximum(fa, fb))
-
-
 def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: float) -> tuple[float, float]:
-    """The angle and value of the largest f found near the grid argmax x.
+    """The angle and value of the largest f found near x, the best point
+    of a bracket: the best seed angle, or the midpoint of an arc where f
+    exceeds the level (``radius_theta_scan``).
 
     Safeguarded successive parabolic interpolation (R. P. Brent, Algorithms
     for Minimization without Derivatives, 1973) on the bracket
@@ -126,9 +110,10 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
     at most eps f(x) or peaks within 1e-6 delta of x, or once the bracket is
     4e-6 delta wide. A vertex that close is not worth a step: f'' >= -f for
     a support function, so it gains at most f (1e-6 delta)^2 / 2 over x.
-    An end can beat x by rounding when x is the argmax of a coarser grid, as
-    on a flat profile; a vertex near that end can then round onto it, and
-    such a u only updates the end's value, so that a < x < b holds.
+    An end can beat x by rounding, as on a flat profile, or when the end is
+    a crossing of the level and f there is the level up to rounding; a
+    vertex near that end can then round onto it, and such a u only updates
+    the end's value, so that a < x < b holds.
     """
     eps = np.finfo(float).eps
     a, b = x - delta, x + delta
@@ -167,17 +152,18 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
     return theta_star, best
 
 
-def _level_clear(op: AOperator, gamma: float, anchor: float = 0.0) -> bool:
-    """True when no real theta makes gamma an eigenvalue of H(theta), given
-    P + gamma I positive definite for P = H(anchor) (else False, as its
-    Cholesky fails), which any gamma > f(anchor) meets; then f < gamma on
-    [0, pi).
+def _crossings(op: AOperator, gamma: float, anchor: float = 0.0) -> np.ndarray | None:
+    """The sorted angles theta in [0, pi) at which gamma is an eigenvalue of
+    H(theta) or of -H(theta), given P + gamma I positive definite for
+    P = H(anchor); None when its Cholesky factor fails, which any
+    gamma > f(anchor) avoids. An empty array means the level is clear:
+    f < gamma on [0, pi).
 
     P and Q = -H(anchor + pi/2) are the Cartesian parts of the compression
-    of e^{i anchor} T, so H(anchor + psi) = cos(psi) P - sin(psi) Q. Why the
-    check suffices: lambda_max(H(theta)) is continuous on [0, 2 pi), below
-    gamma at theta = anchor + pi, where H = -P, and never equal to it, so
-    it stays below gamma, and f(theta) = max(lambda_max(H(theta)),
+    of e^{i anchor} T, so H(anchor + psi) = cos(psi) P - sin(psi) Q. Why no
+    crossing suffices: lambda_max(H(theta)) is continuous on [0, 2 pi),
+    below gamma at theta = anchor + pi, where H = -P, and never equal to
+    it, so it stays below gamma, and f(theta) = max(lambda_max(H(theta)),
     lambda_max(H(theta + pi))). The substitution s = tan(psi / 2) covers
     every theta but anchor + pi. Multiplied by 1 + s^2,
     H(anchor + psi) - gamma I becomes the quadratic pencil
@@ -185,9 +171,10 @@ def _level_clear(op: AOperator, gamma: float, anchor: float = 0.0) -> bool:
     congruence by L^-1 turns the pencil into B0 + s B1 - s^2 I with
     B0 = I - 2 gamma L^-1 L^-*, B1 = -2 L^-1 Q L^-*, whose eigenvalues s
     are those of the 2r x 2r companion C = [[0, I], [B0, B1]]. A crossing is
-    a real s.
+    a real s, at theta = anchor + 2 arctan(s); taken mod pi, it covers
+    gamma as an eigenvalue of H(theta + pi) = -H(theta) too.
 
-    Any anchor gives the same answer in exact arithmetic, but a nearly
+    Any anchor gives the same crossings in exact arithmetic, but a nearly
     singular P + gamma I blows up ||C||_F and with it the bound tau below.
     P = cos(anchor) H_re - sin(anchor) H_im and Q = sin(anchor) H_re +
     cos(anchor) H_im round by a few eps ||H||, and by Weyl so does each
@@ -205,19 +192,21 @@ def _level_clear(op: AOperator, gamma: float, anchor: float = 0.0) -> bool:
     The imaginary part of psi = 2 arctan s is atanh(q) with
     q = 2 |Im s| / (1 + |s|^2), and a root s0 + ds with real s0 has
     q <= 2 |ds|. So every crossing is computed with q <= tau = 2 rho, and
-    the check passes only when every s has q > tau. A needless fallback costs
-    only a scan; a missed crossing would be a narrow, wrong enclosure, which
-    is why tau takes the square-root law even for simple roots.
+    every s with q <= tau is returned as one. A spurious crossing costs
+    only a criss-cross pass or a ladder rung of ``radius_theta_scan``; a
+    missed one would be a narrow, wrong enclosure, which is why tau takes
+    the square-root law even for simple roots.
 
-    The roots of a level that should pass lie far from that bound. An origin
-    disk W (AT^2 = 0, the shift J_n) makes the spectrum of H(theta) the same
-    at every complex theta, so its roots sit at s = +-i, q = 1, and the
-    rounding spreads them only to q >= 0.14 for J_64 (tau = 1.1e-2 there,
-    where ||C||_F ~ 2 gamma / (gamma - ||H_re||) ~ 1e9 at every anchor). Where
-    gamma lies g above a sharp peak of f, the nearest roots have
-    q ~ (2 g / gamma)^(1/2), since f'' >= -f for a support function: 6.2e-5
-    for the scan's guard at grid_n = 720. A peak that close to gamma passes
-    only when tau is below that; otherwise the scan falls back to its grid.
+    The roots of a level that should clear lie far from that bound. An
+    origin disk W (AT^2 = 0, the shift J_n) makes the spectrum of H(theta)
+    the same at every complex theta, so its roots sit at s = +-i, q = 1,
+    and the rounding spreads them only to q >= 0.14 for J_64 (tau = 1.1e-2
+    there, where ||C||_F ~ 2 gamma / (gamma - ||H_re||) ~ 1e9 at every
+    anchor). Where gamma lies g above a sharp peak of f, the nearest roots
+    have q ~ (2 g / gamma)^(1/2), since f'' >= -f for a support function:
+    6.2e-5 for the scan's guard at grid_n = 720. A peak that close to gamma
+    clears only when tau is below that; otherwise its two near-real roots
+    come back as crossings, with f below gamma between them.
     """
     r = op.ctx.rank
     p, q = op.h_re, op.h_im
@@ -227,126 +216,95 @@ def _level_clear(op: AOperator, gamma: float, anchor: float = 0.0) -> bool:
     try:
         chol = np.linalg.cholesky(p + gamma * np.eye(r))
     except np.linalg.LinAlgError:  # gamma <= -lambda_min(P) up to rounding
-        return False
+        return None
     inv = np.linalg.inv(chol)
     b0 = np.eye(r) - (2.0 * gamma) * (inv @ inv.conj().T)
     b1 = -2.0 * (inv @ q @ inv.conj().T)
     companion = np.block([[np.zeros((r, r)), np.eye(r)], [b0, b1]])
     roots = np.linalg.eigvals(companion)
     tau = 2.0 * math.sqrt(2 * r * np.finfo(float).eps * np.linalg.norm(companion))
-    return bool((2.0 * np.abs(roots.imag) > tau * (1.0 + np.abs(roots) ** 2)).all())
+    near = 2.0 * np.abs(roots.imag) <= tau * (1.0 + np.abs(roots) ** 2)
+    return np.sort((anchor + 2.0 * np.arctan(roots[near].real)) % math.pi)
 
 
 def _guard(value: float, grid_n: int) -> float:
     """value (1 / grid_n)^2 1e-3, taken from lower and added to upper: far
-    above eigh rounding noise and far below the grid certificate's width."""
+    above eigh rounding noise at the default grid_n = 720."""
     return value * (math.pi / grid_n / math.pi) ** 2 * 1e-3
 
 
 def radius_theta_scan(op: AOperator, grid_n: int = 720) -> RadiusEstimate:
-    """Certified enclosure of w_A(T) from a small seed, a polish and one
-    level-set check, with a pruned grid scan as the fallback.
+    """Certified enclosure of w_A(T) from a small seed, a polish and a
+    criss-cross iteration on the level-set check's own crossings.
 
     The scan solves the 8 angles k pi / 8 in one batch, polishes the best of
     them inside its +-pi/8 bracket (``_polish``) to best = f(theta_star),
-    and asks ``_level_clear`` whether any real theta makes
-    gamma = best + guard an eigenvalue of H(theta). If none does, f < gamma
-    everywhere and the enclosure is [best - guard, best + guard]. The
-    check's anchor is the seed direction (an angle or its antipode) whose H
-    has the largest lambda_min, so H(anchor) + gamma I is as far from
-    singular as the seed shows. When the check finds a crossing, or f is 0
-    at every seed angle, the polished seed is dropped for ``_grid_scan``,
-    whose polished maximum meets the same check: if it passes, upper drops
-    to that maximum plus the guard, else the grid's enclosure stands.
+    and asks ``_crossings`` where gamma = best + guard is an eigenvalue of
+    +-H(theta). If nowhere, f < gamma everywhere and the enclosure is
+    [best - guard, best + guard]. The check's anchor is the seed direction
+    (an angle or its antipode) whose H has the largest lambda_min, so
+    H(anchor) + gamma I is as far from singular as the seed shows.
+    Otherwise the crossings cut the circle of period pi into arcs, on each
+    of which f - gamma keeps one sign (Mengi & Overton, 2005). f is solved
+    at the crossings and the arc midpoints in one batch, and the arc with
+    the highest midpoint above gamma is polished, the arc itself the
+    bracket. Every seed angle has f <= best < gamma, so such an arc lies
+    between two of them and is narrower than pi/8, the seed's own bracket.
+    best then rises by more than a guard and the check repeats, so the loop
+    ends.
 
-    grid_n sets the guard, best (1 / grid_n)^2 1e-3, and so the certified
-    width, and it sets the fallback's finest grid. The seed does not depend
-    on grid_n, so best is the same at every grid: when the seed certifies
-    both scans, doubling the grid only narrows the enclosure.
+    When no midpoint is above gamma, the level is stuck: its crossings are
+    near-real roots within the rounding bound that sit just above a flat or
+    sharp peak (or P + gamma I has no Cholesky factor). upper then climbs the
+    ladder best + guard 4^k, k = 1, 2, ..., one check per rung, to the first
+    clear rung. The ladder stops at the A-seminorm ||T||_A >= w_A(T),
+    widened by 8 r eps: LAPACK's SVD and eigvalsh put each computed sigma
+    and lambda within a modest multiple of r eps ||T||_A of the exact one.
+    ||T||_A <= ||H_re|| + ||H_im|| <= 2 best, so 6 + log2(grid_n) rungs
+    reach it; at most 63 are tried. Every upper comes from a clear check or
+    from that norm, and lower is best - guard either way.
+
+    grid_n sets only the guard, best (1 / grid_n)^2 1e-3, and so the
+    certified width, 2e-3 / grid_n^2 relative whenever the check clears at
+    best + guard; nothing of size grid_n is solved or stored. The seed does
+    not depend on grid_n, so best is the same at every grid: when the seed
+    certifies both scans, doubling the grid only narrows the enclosure.
     """
     grid_n = as_count(grid_n, "grid_n", 4)
     step = math.pi / 8
     lam = _extremes(op, np.arange(8) * step)
     vals = _magnitude(lam)
     j = int(np.argmax(vals))
+    if vals[j] == 0.0:  # f(0) = ||H_re|| and f(pi/2) = ||H_im|| are 0, so C = 0
+        return RadiusEstimate(0.0, 0.0, 0.0, grid_n)
     # lambda_min of H(k pi / 8) for k < 8, then of H(k pi / 8 + pi) = -H(k pi / 8).
     anchor = int(np.argmax(np.concatenate([lam[:, 0], -lam[:, 1]]))) * step
-    if vals[j] > 0.0:
-        theta_star, best = _polish(op, j * step, step, float(vals[j - 1]), float(vals[j]), float(vals[(j + 1) % 8]))
-        guard = _guard(best, grid_n)
-        if _level_clear(op, best + guard, anchor):
-            return RadiusEstimate(max(best - guard, 0.0), best + guard, theta_star % math.pi, grid_n)
-    grid, best = _grid_scan(op, grid_n)
-    guard = _guard(best, grid_n)
-    if best + guard < grid.upper and _level_clear(op, best + guard, anchor):
-        return RadiusEstimate(grid.lower, best + guard, grid.theta_star, grid_n)
-    return grid
-
-
-def _grid_scan(op: AOperator, grid_n: int) -> tuple[RadiusEstimate, float]:
-    """The fallback of ``radius_theta_scan``: a nested, pruned theta scan's
-    enclosure and its polished maximum f(theta_star).
-
-    f has period pi, and every angle is k pi/grid_n for an integer k. The scan starts on the
-    coarsest grid of grid_n/2^j points that is still >= 32 (j = 0 when
-    grid_n is odd or below 64) and halves the spacing per level down to
-    pi/grid_n, the finest spacing. Each level bounds f on every live cell
-    by the vertex where the support lines at its two ends meet
-    (``_cell_bounds``), drops the cells whose bound is <= the largest grid
-    value so far, and evaluates the midpoints of the rest in one batch; it
-    stops at the finest level or when no cell is left.
-
-    Why this stays certified: conv(W u -W) lies inside each cell's wedge of
-    support lines, so the vertex bound caps f on that cell and a
-    dropped cell cannot beat the grid maximum. Hence the largest evaluated
-    value is the maximum over the whole uniform grid, and sup f is at most
-    the larger of it and the bounds of the surviving finest cells. Those
-    cells are a subset of the uniform grid's cells, so ``upper`` is never
-    above the uniform grid's certificate.
-
-    The grid maximum is a certified lower bound. A parabolic search seeded
-    by the grid argmax and its two neighbours at spacing pi / grid_n
-    (``_polish``, about five single-angle calls) can only raise it and never
-    touches the upper certificate, which reads grid values only.
-    """
-    delta = math.pi / grid_n
-    n_coarse = grid_n
-    while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
-        n_coarse //= 2
-    step = grid_n // n_coarse
-
-    def profile(index: np.ndarray) -> np.ndarray:
-        return _magnitude(_extremes(op, index * delta))
-
-    vals = np.full(grid_n, -np.inf)  # f at k delta; -inf where not evaluated
-    left = new = np.arange(0, grid_n, step)  # left ends of the live cells
-    vals[new] = profile(new)
+    theta_star, best = _polish(op, j * step, step, float(vals[j - 1]), float(vals[j]), float(vals[(j + 1) % 8]))
     while True:
-        # f has period pi, so the last cell ends at f(0).
-        bounds = _cell_bounds(vals[left], vals[(left + step) % grid_n], step * delta)
-        left = left[bounds > vals.max()]
-        if step == 1 or left.size == 0:
+        guard = _guard(best, grid_n)
+        cross = _crossings(op, best + guard, anchor)
+        if cross is None:
             break
-        step //= 2
-        new = left + step
-        left = np.concatenate([left, new])
-        vals[new] = profile(new)
-    j = int(np.argmax(vals))  # ties broken by smallest theta
-    grid_max = float(vals[j])
-    theta_star, best = j * delta, grid_max
-    if grid_max > 0.0:
-        # Seed the polish with the grid's own neighbours of the argmax,
-        # solving in one call whichever of them the scan skipped.
-        ends = (j + np.array([-1, 1])) % grid_n
-        f_ends = vals[ends]
-        skipped = np.isneginf(f_ends)
-        if skipped.any():
-            f_ends[skipped] = profile(ends[skipped])
-        theta_star, best = _polish(op, theta_star, delta, float(f_ends[0]), grid_max, float(f_ends[1]))
-    guard = _guard(grid_max, grid_n)
-    lower = max(best - guard, 0.0)
-    upper = max(max(grid_max, float(bounds.max())) + guard, lower)
-    return RadiusEstimate(lower, upper, theta_star % math.pi, grid_n), best
+        if not cross.size:
+            return RadiusEstimate(max(best - guard, 0.0), best + guard, theta_star % math.pi, grid_n)
+        half = np.diff(np.append(cross, cross[0] + math.pi)) / 2.0  # the last arc wraps around
+        mids = cross + half
+        f_cross, f_mid = np.split(_magnitude(_extremes(op, np.concatenate([cross, mids]))), 2)
+        k = int(np.argmax(f_mid))
+        if f_mid[k] <= best + guard:
+            break
+        fa, fb = float(f_cross[k]), float(f_cross[(k + 1) % cross.size])
+        theta_star, best = _polish(op, float(mids[k]), float(half[k]), fa, float(f_mid[k]), fb)
+    lower, theta_star = max(best - guard, 0.0), theta_star % math.pi
+    cap = op.seminorm * (1.0 + 8 * op.ctx.rank * np.finfo(float).eps)
+    for k in range(1, 64):
+        level = best + guard * 4.0**k
+        if level >= cap:
+            break
+        cross = _crossings(op, level, anchor)
+        if cross is not None and not cross.size:
+            return RadiusEstimate(lower, level, theta_star, grid_n)
+    return RadiusEstimate(lower, cap, theta_star, grid_n)
 
 
 def witness_value(op: AOperator, theta: float) -> float:
@@ -495,12 +453,14 @@ def _is_disk(op: AOperator, k: float, rad: RadiusEstimate | None = None) -> bool
     for Linear Operators, ch. II sec. 6), so given (i) w_A(T) <= k, h = k
     on an interval puts one branch at k everywhere, and W is the disk;
     otherwise h = k in finitely many directions. So (ii) h = k in four
-    fixed directions, theta = 0.7, 2.1 and those plus pi, off every grid,
+    fixed directions, theta = 0.7, 2.1 and those plus pi, off the seed's
+    angles k pi / 8,
     decides, unless W meets the circle in all four by coincidence (a
     polygon inscribed there with those vertices passes).
 
     (i) is read as w_A(T) <= k (1 + tol): False when rad.lower exceeds that
-    level, True when rad.upper does not, else ``_level_clear`` decides; a
+    level, True when rad.upper does not, else it holds when ``_crossings``
+    finds no crossing of that level; a
     k < 0 fails, as w_A(T) >= 0. (ii) is read as h >= k (1 - tol), from
     one eigvalsh of H(0.7) and H(2.1). Hermitian eigenvalues are perfectly
     conditioned (Weyl): they round by a few r eps ||H||, far below tol k.
@@ -519,8 +479,10 @@ def _is_disk(op: AOperator, k: float, rad: RadiusEstimate | None = None) -> bool
     level = k * (1.0 + tol)
     if rad is not None and rad.lower > level:
         return False
-    if (rad is None or rad.upper > level) and not _level_clear(op, level):
-        return False
+    if rad is None or rad.upper > level:
+        cross = _crossings(op, level)
+        if cross is None or cross.size:
+            return False
     support = _extremes(op, _DISK_ANGLES) * np.array([-1.0, 1.0])  # h(theta + pi) and h(theta)
     return bool((support >= k * (1.0 - tol)).all())
 

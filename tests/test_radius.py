@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,20 +79,6 @@ def bracket_oracle(op, grid_n, rounds=25):
     return max(best - guard, 0.0), best
 
 
-def cosine_cell_bounds(fa, fb, width):
-    """The cell bound by the cosine construction: the peak of a rectified
-    cosinusoid r cos(theta - t - a) through both endpoint values, at angle
-    a = arctan((fb - fa cos w) / (fa sin w)) into the cell, is fa / cos(a)
-    when 0 <= a <= width, else the larger endpoint value bounds the cell."""
-    cos_d, sin_d = math.cos(width), math.sin(width)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.arctan((fb - fa * cos_d) / (fa * sin_d))
-        crossing = fa / np.cos(a)
-    interior = (fa > 0.0) & (a >= 0.0) & (a <= width)
-    cell = np.where(interior, crossing, np.maximum(fa, fb))
-    return np.maximum(cell, np.maximum(fa, fb))
-
-
 def complex_sampling_reference(op, n_samples, seed):
     """The sampling oracle in complex arithmetic: u = x + iy in C^r from two
     (r, m) draws per chunk and |u* C u| / |u|^2 over the nonzero draws."""
@@ -141,20 +128,24 @@ def support_spectra(op, thetas):
     return np.array(spectra)
 
 
-def first_level_is_flat(op, grid_n):
-    """Whether the scan's first level, the coarsest grid of grid_n / 2^j >= 32
-    angles, is flat: every value tol.close to their maximum M > 0."""
-    n_coarse = grid_n
-    while n_coarse % 2 == 0 and n_coarse // 2 >= 32:
-        n_coarse //= 2
-    vals = phase_profile(op, np.arange(n_coarse) * (math.pi / n_coarse))
+def flat_at_45_angles(op):
+    """Whether f at the 45 angles k pi / 45, the coarsest level of the
+    former 720-angle grid scan, is flat: every value tol.close to their
+    maximum M > 0."""
+    vals = phase_profile(op, np.arange(45) * (math.pi / 45))
     return vals.max() > 0.0 and bool(op.ctx.tol.close(vals, vals.max()).all())
+
+
+def clear(op, gamma, anchor=0.0):
+    """Whether the level-set check finds no crossing of gamma."""
+    cross = radius._crossings(op, gamma, anchor)
+    return cross is not None and cross.size == 0
 
 
 def record_profile_calls(monkeypatch):
     """Patch radius._extremes, through which every eigensolve of f in radius
-    passes (the scan's grid batches, the polish's phase_profile calls and
-    the grid reads), to record the angle count of each call. part_norms
+    passes (the scan's seed and criss-cross batches and the polish's single
+    angles), to record the angle count of each call. part_norms
     calls space._extremes directly, so its solve is not recorded."""
     calls = []
     extremes = radius._extremes
@@ -165,14 +156,6 @@ def record_profile_calls(monkeypatch):
 
     monkeypatch.setattr(radius, "_extremes", recording)
     return calls
-
-
-def unpolished_grid_scan(monkeypatch, op, grid_n):
-    """The fallback grid scan with its polish replaced by a no-op, so that
-    its lower end is the grid maximum minus the guard."""
-    with monkeypatch.context() as patch:
-        patch.setattr(radius, "_polish", lambda op, x, delta, fa, fx, fb: (x, fx))
-        return radius._grid_scan(op, grid_n)[0]
 
 
 def count_mats(monkeypatch, name):
@@ -241,16 +224,19 @@ class TestThetaScan:
         assert rad.upper == 0.0
 
     def test_refine_only_raises_lower(self, monkeypatch):
-        # pick an operator whose maximizer falls off the grid: the fallback
-        # scan's polish raises its lower end and leaves its upper alone
+        # pick an operator whose maximizer falls between the seed angles: the
+        # polish raises the lower end above the seed maximum's, and the first
+        # level-set check clears at the polished maximum
         t = np.exp(0.123j) * np.diag([1.0, -1.0]).astype(complex)
         op = make_op(np.eye(2), t)
-        coarse = unpolished_grid_scan(monkeypatch, op, 64)
-        refined = radius._grid_scan(op, 64)[0]
-        assert refined.lower >= coarse.lower
-        assert refined.upper == coarse.upper
+        seed_max = float(phase_profile(op, np.arange(8) * (math.pi / 8)).max())
+        coarse_lower = seed_max - radius._guard(seed_max, 64)
+        checks = count_mats(monkeypatch, "eigvals")
+        refined = radius_theta_scan(op, 64)
+        assert checks[0] == 1
+        assert refined.lower >= coarse_lower
         assert refined.lower == pytest.approx(1.0, abs=1e-6)
-        assert refined.lower > coarse.lower
+        assert refined.lower > coarse_lower
         for grid_n in (64, 720):
             theta_star = radius_theta_scan(op, grid_n).theta_star
             assert phase_profile(op, [theta_star])[0] == pytest.approx(1.0, rel=1e-12, abs=0.0)
@@ -274,30 +260,22 @@ class TestThetaScan:
 
 @pytest.mark.parametrize("grid_n", [8, 64, 181, 720])
 def test_refinement_call_budget(monkeypatch, grid_n):
-    # The fallback's polish adds one angle per call after the grid: at most
-    # 42 angles in all, which the former bracket search spent on every
-    # operator, and at most 12 from grid 181 on. The scan's own polish adds
-    # one angle per call to its 8-angle seed, as few as the grid's.
+    # The polish adds one angle per call to the scan's 8-angle seed and
+    # criss-cross batches: at most 42 angles in all, which the former
+    # bracket search spent on every operator, and at most 12 from grid 181
+    # on. A scan that the seed certifies makes no other call.
     calls = record_profile_calls(monkeypatch)
+    checks = count_mats(monkeypatch, "eigvals")
     for construction in ADJOINTABLE:
         for seed in range(3):
             op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=4, construction=construction, seed=seed)))
             calls.clear()
-            unpolished_grid_scan(monkeypatch, op, grid_n)
-            unrefined = list(calls)
-            calls.clear()
-            radius._grid_scan(op, grid_n)
-            added = calls[len(unrefined) :]
-            assert calls[: len(unrefined)] == unrefined
-            assert all(n == 1 for n in added)
-            assert sum(added) <= (12 if grid_n >= 181 else 42)
-            calls.clear()
-            grids, scan = [], radius._grid_scan
-            with monkeypatch.context() as patch:
-                patch.setattr(radius, "_grid_scan", lambda op, n: grids.append(n) or scan(op, n))
-                radius_theta_scan(op, grid_n)
-            if not grids:  # certified by the level set
-                assert calls[0] == 8 and all(n == 1 for n in calls[1:]) and len(calls) <= 1 + 12
+            checks[0] = 0
+            radius_theta_scan(op, grid_n)
+            assert calls[0] == 8
+            assert calls.count(1) <= (12 if grid_n >= 181 else 42)
+            if checks[0] == 1:  # certified by the level set
+                assert all(n == 1 for n in calls[1:]) and len(calls) <= 1 + 12
 
 
 def test_polish_stops_at_a_vertex_on_the_best_point(monkeypatch):
@@ -319,44 +297,36 @@ def test_polish_stops_at_a_vertex_on_the_best_point(monkeypatch):
 @pytest.mark.parametrize("rank_a", [5, 3])
 @pytest.mark.parametrize("grid_n", [8, 64, 181, 720, 1440])
 def test_polish_matches_bracket_oracle(monkeypatch, construction, rank_a, grid_n):
-    # The fallback's parabolic polish reaches the 25-round bracket search's
-    # lower end to 1e-13 relative, never lowers the grid's lower end, leaves
-    # upper alone, and adds at most 12 eigensolves from grid 181 on, 42 at
-    # every grid. The scan's polish of its seed reaches it as closely.
-    counted = count_mats(monkeypatch, "eigvalsh")
+    # The scan's parabolic polish reaches the maximum of the 25-round bracket
+    # search around the uniform grid's argmax to 1e-13 relative, so its
+    # lower end is that maximum minus its guard and is not below the
+    # uniform grid's unpolished lower end (on a flat profile the grid's
+    # 720 values beat the polish by rounding, 3e-16 relative), and it adds
+    # at most 12 single-angle eigensolves from grid 181 on, 42 at every grid.
+    calls = record_profile_calls(monkeypatch)
     for seed in range(3):
         op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=rank_a, construction=construction, seed=seed)))
-        counted[0] = 0
-        coarse = unpolished_grid_scan(monkeypatch, op, grid_n)
-        unrefined = counted[0]
-        counted[0] = 0
-        refined = radius._grid_scan(op, grid_n)[0]
-        assert counted[0] - unrefined <= (12 if grid_n >= 181 else 42)
-        assert refined.lower >= coarse.lower
-        assert refined.upper == coarse.upper
-        oracle, best = bracket_oracle(op, grid_n)
-        assert abs(refined.lower - oracle) <= 1e-13 * refined.upper
-        theta_star = radius_theta_scan(op, grid_n).theta_star
-        assert abs(phase_profile(op, theta_star)[0] - best) <= 1e-13 * refined.upper
+        calls.clear()
+        rad = radius_theta_scan(op, grid_n)
+        assert calls.count(1) <= (12 if grid_n >= 181 else 42)
+        grid_max = float(phase_profile(op, np.arange(grid_n) * (math.pi / grid_n)).max())
+        assert rad.lower >= grid_max - radius._guard(grid_max, grid_n) - 1e-13 * rad.upper
+        _, best = bracket_oracle(op, grid_n)
+        assert abs(rad.lower - (best - radius._guard(best, grid_n))) <= 1e-13 * rad.upper
+        assert abs(phase_profile(op, rad.theta_star)[0] - best) <= 1e-13 * rad.upper
 
 
 @pytest.mark.parametrize("construction", ADJOINTABLE)
 @pytest.mark.parametrize("rank_a", [5, 3])
 @pytest.mark.parametrize("grid_n", [8, 64, 181, 720, 1440])
 def test_pruned_scan_matches_uniform_reference(construction, rank_a, grid_n):
-    # The fallback's pruning evaluates a subset of the uniform grid's
-    # angles, bit for bit, and keeps a subset of its cells: same lower end,
-    # upper never above, flat profiles included. The scan's enclosure lies
-    # within the reference's up to 1e-13 relative and the move of the
+    # The scan's enclosure lies within the full uniform grid's certified
+    # one, flat profiles included, up to 1e-13 relative and the move of the
     # guard's argument from the grid maximum to the polished one, which the
     # uniform bound puts at most upper (1 - cos(pi / (2 grid_n))) apart.
     for seed in range(3):
         op = make_op(*gen_instance(InstanceSpec(dim=5, rank_a=rank_a, construction=construction, seed=seed)))
-        rad = radius._grid_scan(op, grid_n)[0]
-        lower, upper, theta_star = uniform_reference(op, grid_n)
-        assert rad.lower == lower
-        assert rad.theta_star == theta_star
-        assert upper - 2 * math.ulp(upper) <= rad.upper <= upper
+        lower, upper, _ = uniform_reference(op, grid_n)
         scan = radius_theta_scan(op, grid_n)
         slack = 1e-13 * upper + radius._guard(upper, grid_n) * (1.0 - math.cos(math.pi / (2 * grid_n)))
         assert lower - slack <= scan.lower <= scan.upper <= upper + slack
@@ -422,49 +392,48 @@ class TestFlatProfile:
 
 
 class TestFlatProfileFallback:
-    """A profile flat on the fallback's first level, whose level-set check
-    finds a crossing, goes on as a grid scan. The pinned enclosures are the
-    grid scan's, bit for bit."""
-
-    @staticmethod
-    def scan_falls_back(monkeypatch, op):
-        assert first_level_is_flat(op, 720)
-        counted, calls = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigvals")
-        rad = radius_theta_scan(op)
-        assert calls[0] == 1 and counted[0] > 45 + 12
-        return rad
+    """Profiles flat at the 45 angles k pi / 45, where the former grid
+    scan's first level found nothing to prune. The scan needs no grid on
+    them: a seed check that finds crossings is followed by one criss-cross
+    pass and a check that clears."""
 
     def test_bump_between_coarse_angles(self, monkeypatch):
         # J_2 + lambda at A = I_3: W is the disk of radius 1/2 and the point
         # lambda, 2e-5 outside it halfway between two coarse angles, where
-        # the 45-angle profile is flat to 3.3e-16.
-        lam = 0.5 * (1 + 2e-5) * np.exp(-1j * math.pi / 360)
-        rad = self.scan_falls_back(monkeypatch, make_op(np.eye(3), direct_sum(JORDAN, np.array([[lam]]))))
+        # the 45-angle profile is flat to 3.3e-16. The seed's polish stops
+        # on the disk, its check finds the bump's crossings, and the pass
+        # polishes the bump: the former grid scan's enclosure, bit for bit,
+        # from 2 eigvals calls and fewer eigvalsh matrices than its first
+        # level of 45 angles.
+        op = make_op(np.eye(3), direct_sum(JORDAN, np.array([[0.5 * (1 + 2e-5) * np.exp(-1j * math.pi / 360)]])))
+        assert flat_at_45_angles(op)
+        counted, calls = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigvals")
+        rad = radius_theta_scan(op)
+        assert calls[0] == 2 and counted[0] < 45
         assert (rad.lower, rad.upper) == (0.5000099990354745, 0.5000100009645254)
         assert rad.lower <= 0.50001 <= rad.upper
 
     @pytest.mark.parametrize("phi", [math.pi / 90, math.pi / 180])
     def test_regular_polygon_off_the_coarse_grid(self, monkeypatch, phi):
         # The regular 45-gon diag(e^{i (2 pi k / 45 + phi)}): its vertices
-        # lie off the fallback's coarse angles, so every coarse value is
-        # below w = 1, and the grid scan runs to its finest level. The scan
-        # itself polishes a vertex and certifies it with no grid.
+        # lie off the angles k pi / 45, so every such value is below w = 1,
+        # and the former grid scan ran to its finest level, with the
+        # enclosure (0.9999999980709878, 1.0000000019290125). The scan
+        # polishes a vertex and certifies it from its seed.
         t = np.diag(np.exp(1j * (2 * math.pi * np.arange(45) / 45 + phi)))
         op = make_op(np.eye(45), t)
-        assert first_level_is_flat(op, 720)
-        grid = radius._grid_scan(op, 720)[0]
-        assert (grid.lower, grid.upper) == (0.9999999980709878, 1.0000000019290125)
+        assert flat_at_45_angles(op)
         counted, calls = count_mats(monkeypatch, "eigvalsh"), count_mats(monkeypatch, "eigvals")
         rad = radius_theta_scan(op)
         assert counted[0] <= 8 + 12 and calls[0] == 1
         assert rad.lower <= 1.0 <= rad.upper
-        assert grid.lower - 1e-13 <= rad.lower and rad.upper <= grid.upper + 1e-13
+        assert 0.9999999980709878 - 1e-13 <= rad.lower and rad.upper <= 1.0000000019290125 + 1e-13
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.integers(2, 8), st.floats(-12.0, -4.0), st.integers(0, 2**32 - 1))
 @example(6, -11.5, 2)  # a fine neighbour of the coarse argmax beats it by rounding
-@example(7, -6.5, 0)  # flat to 1e-6 but not to the guard: the check falls back
+@example(7, -6.5, 0)  # flat to 1e-6 but not to the guard: the seed's check finds crossings
 def test_perturbed_shift_upper_covers_the_profile(n, log_eps, seed):
     # J_n + eps G, G a complex Gaussian, eps log-uniform in [1e-12, 1e-4]:
     # profiles flat to rounding, flat to equality_rel_tol only, and not flat.
@@ -485,13 +454,14 @@ class TestAnchoredLevelCheck:
     def test_anchor_clears_what_angle_zero_cannot(self):
         op = make_op(*self.OP_ARGS)
         gamma = 1.0 + radius._guard(1.0, 720)
-        assert not radius._level_clear(op, gamma)
-        assert radius._level_clear(op, gamma, math.pi / 2)
+        assert not clear(op, gamma)
+        assert clear(op, gamma, math.pi / 2)
 
     def test_scan_certifies_without_a_grid(self, monkeypatch):
         # The seed's lambda_min is largest at pi / 2, so the scan anchors
-        # there: one eigvals, no grid, and the grid scan's enclosure bit for
-        # bit, since f(0) = 1 is on both grids and the guard reads it.
+        # there: one eigvals, no criss-cross pass, and the former grid
+        # scan's enclosure bit for bit, since f(0) = 1 is a seed angle and
+        # the guard reads it.
         op = make_op(*self.OP_ARGS)
         calls = record_profile_calls(monkeypatch)
         checks = count_mats(monkeypatch, "eigvals")
@@ -499,7 +469,6 @@ class TestAnchoredLevelCheck:
         assert calls[0] == 8 and all(n == 1 for n in calls[1:]) and len(calls) <= 1 + 12
         assert checks[0] == 1
         assert (rad.lower, rad.upper, rad.theta_star) == (0.9999999980709876, 1.0000000019290123, 0.0)
-        assert rad == radius._grid_scan(op, 720)[0]
 
     @pytest.mark.parametrize("construction", ADJOINTABLE)
     def test_every_seed_anchor_decides_alike(self, construction):
@@ -511,29 +480,29 @@ class TestAnchoredLevelCheck:
             op = make_op(*gen_instance(InstanceSpec(dim=6, rank_a=5, construction=construction, seed=seed)))
             rad = radius_theta_scan(op)
             for k in range(16):
-                assert not radius._level_clear(op, rad.lower * (1.0 - 1e-7), k * math.pi / 8)
-                assert radius._level_clear(op, rad.upper * (1.0 + 1e-3), k * math.pi / 8)
+                assert not clear(op, rad.lower * (1.0 - 1e-7), k * math.pi / 8)
+                assert clear(op, rad.upper * (1.0 + 1e-3), k * math.pi / 8)
 
     def test_fallback_maximum_is_certified(self, monkeypatch):
         # Seed-7 suite instance 106: f has local maxima 0.72116 and 0.72335,
-        # and the seed's polish finds the lower one, so its check fails and
-        # the grid runs. The grid's polished maximum then clears at the same
-        # anchor: the grid's lower end, an upper end one guard above its
-        # maximum, and so the width of a seed-certified scan.
+        # and the seed's polish finds the lower one, so its check finds
+        # crossings. One criss-cross pass polishes the higher peak, and its
+        # maximum clears at the same anchor: the width of a seed-certified
+        # scan. The lower end is the former grid scan's, 0.7233452132145826,
+        # to 2.5e-15 relative.
         op = make_op(*gen_instance(InstanceSpec(dim=3, rank_a=2, construction="random", seed=7000127)))
-        grid, best = radius._grid_scan(op, 720)
         checks = count_mats(monkeypatch, "eigvals")
         rad = radius_theta_scan(op)
         assert checks[0] == 2
-        assert (rad.lower, rad.theta_star) == (grid.lower, grid.theta_star)
-        assert rad.upper == best + radius._guard(best, 720) < grid.upper
+        assert (rad.lower, rad.upper, rad.theta_star) == (0.7233452132145808, 0.7233452160052645, 2.1369431062500994)
         assert rad.upper - rad.lower <= 2e-3 * rad.upper / 720**2 + 4 * math.ulp(rad.upper)
         assert rad.lower <= witness_value(op, rad.theta_star) <= rad.upper
 
 
 class TestEigensolveBudget:
     """Eigensolves per certified digit: a certified scan costs its 8-angle
-    seed, a polish and one level-set check instead of a pruned grid."""
+    seed, a polish and one level-set check instead of the former pruned
+    grid."""
 
     @pytest.mark.parametrize("seed", range(1, 5))
     def test_certified_dim_64_scan(self, monkeypatch, seed):
@@ -554,13 +523,12 @@ class TestEigensolveBudget:
         assert counted[0] <= 40 * len(suite.evaluations)
 
 
-def test_level_check_finds_every_crossing_below_the_radius():
-    # Every adjointable instance with lower > 0 of the default suites at
-    # seeds 42 and 7, over the four constructions: gamma = lower (1 - 1e-7)
-    # lies below w_A(T), so some angle reaches it and the check must not
-    # pass. Where gamma is at most f(0) the crossing is at theta = 0 or pi
-    # already; 400 of the 1,200 have gamma above f(0), as the scan calls it.
-    reached = 0
+@pytest.fixture(scope="module")
+def levels_below_the_radius():
+    """(op, gamma) for every adjointable instance with lower > 0 of the
+    default suites at seeds 42 and 7, over the four constructions, with
+    gamma = lower (1 - 1e-7) below w_A(T)."""
+    levels = []
     for seed in (42, 7):
         for construction in CONSTRUCTIONS:
             for spec in SuiteConfig(seed=seed, constructions=(construction,)).instance_specs():
@@ -570,56 +538,95 @@ def test_level_check_finds_every_crossing_below_the_radius():
                     continue
                 op = make_a_operator(ctx, t)
                 lower = radius_theta_scan(op).lower
-                if lower <= 0.0:
-                    continue
-                gamma = lower * (1.0 - 1e-7)
-                assert not radius._level_clear(op, gamma)
-                reached += bool(phase_profile(op, 0.0)[0] < gamma)
+                if lower > 0.0:
+                    levels.append((op, lower * (1.0 - 1e-7)))
+    return levels
+
+
+def test_level_check_finds_every_crossing_below_the_radius(levels_below_the_radius):
+    # gamma lies below w_A(T), so some angle reaches it and the check must
+    # find a crossing. Where gamma is at most f(0) the crossing is at
+    # theta = 0 or pi already; 400 of the 1,200 have gamma above f(0), as
+    # the scan calls it.
+    reached = 0
+    for op, gamma in levels_below_the_radius:
+        assert not clear(op, gamma)
+        reached += bool(phase_profile(op, 0.0)[0] < gamma)
     assert reached >= 300
 
 
-class TestCellBounds:
-    """The support-line vertex equals the cosine construction's peak."""
+def test_every_crossing_is_a_crossing(levels_below_the_radius):
+    # Each angle that the check returns makes gamma an eigenvalue of H(theta)
+    # or of -H(theta), H built from C directly: to within 32 r eps ||H(theta)||,
+    # at the anchors 0 and 3 pi / 8 (where P + gamma I is not definite the
+    # check returns None, and there is nothing to test). The worst of 2,798
+    # angles reads 15.7 r eps, 7.0e-15 relative. A rotation of the wrong
+    # sign, theta = anchor - 2 arctan(s), misses by far more.
+    eps = np.finfo(float).eps
+    angles = 0
+    for op, gamma in levels_below_the_radius:
+        for anchor in (0.0, 3 * math.pi / 8):
+            cross = radius._crossings(op, gamma, anchor)
+            if cross is None:
+                continue
+            assert np.all(np.diff(cross) >= 0.0) and np.all((0.0 <= cross) & (cross < math.pi))
+            spectra = support_spectra(op, cross)
+            norms = np.abs(spectra).max(axis=1)
+            miss = np.minimum(np.abs(spectra - gamma).min(axis=1), np.abs(spectra + gamma).min(axis=1))
+            assert (miss <= 32 * op.ctx.rank * eps * norms).all()
+            angles += cross.size
+    assert angles >= 2_000
 
-    @staticmethod
-    def assert_matches_cosine(fa, fb, width):
-        # fa / cos(a) loses tan(a) ulps to the rounding of cos near a = pi/2,
-        # so the allowance grows with the width past pi/4; the scan's cells
-        # are never wider than pi/4 (grid_n >= 4), where it is 4 ulps.
-        got, ref = radius._cell_bounds(fa, fb, width), cosine_cell_bounds(fa, fb, width)
-        ulps = np.abs(got - ref) / np.spacing(np.maximum(np.abs(got), np.abs(ref)))
-        assert ulps.max() <= 4.0 * max(1.0, math.tan(width))
 
-    def test_random_cells(self):
-        rng = np.random.default_rng(11)
-        widths = np.concatenate(
-            [math.pi / 2 * np.geomspace(1e-6, 1.0 - 1e-9, 40), math.pi / np.array([4, 32, 45, 720, 1440])]
-        )
-        for width in widths:
-            fa = rng.uniform(0.0, 2.0, 500)
-            # Ratios fb/fa on both sides of the cone edges cos(w) and 1/cos(w).
-            fb = fa * rng.uniform(0.0, 1.2 / math.cos(width), 500)
-            self.assert_matches_cosine(fa, fb, width)
-            self.assert_matches_cosine(fb, fa, width)
+class TestLadder:
+    """A level stuck just above a flat profile: at grid_n = 10**5 the guard
+    is 1e-13 relative, and the seed-42 suite's first nilpotent_half
+    instance, whose f is w = ||T||_A / 2 at every angle, leaves near-real
+    roots within the rounding bound with f below the level between them.
+    upper climbs the ladder best + guard 4^k to the first clear rung."""
 
-    @pytest.mark.parametrize("width", [math.pi / 720, math.pi / 32, math.pi / 4, 1.5])
-    def test_edge_cases(self, width):
-        c = math.cos(width)
-        fa = np.array([0.0, 0.0, 1.0, 1.0, 0.7, 1.0, c])
-        fb = np.array([0.0, 1.0, 0.0, 1.0, 0.7, c, 1.0])  # vertex on the left end, then the right
-        self.assert_matches_cosine(fa, fb, width)
-        np.testing.assert_array_equal(radius._cell_bounds(fa[:3], fb[:3], width), [0.0, 1.0, 1.0])
+    SPEC = InstanceSpec(dim=2, rank_a=2, construction="nilpotent_half", seed=42000126)
 
-    def test_single_cosinusoid_is_exact(self):
-        # f = r |cos(theta - phi)| with its peak inside the cell: the bound is r.
-        r, t, width = 2.5, 0.1, math.pi / 45
-        for phi in t + width * np.array([0.0, 0.3, 0.5, 0.9, 1.0]):
-            fa, fb = r * abs(math.cos(t - phi)), r * abs(math.cos(t + width - phi))
-            got = float(radius._cell_bounds(np.array([fa]), np.array([fb]), width)[0])
-            assert got == pytest.approx(r, rel=4e-16, abs=0.0)
+    def test_stuck_level_climbs_to_a_clear_rung(self, monkeypatch):
+        # 2 rungs here, under a bound of 10; each costs one eigvals.
+        op = make_op(*gen_instance(self.SPEC))
+        levels, crossings = [], radius._crossings
+
+        def recording(op, gamma, anchor=0.0):
+            levels.append((gamma, crossings(op, gamma, anchor)))
+            return levels[-1][1]
+
+        monkeypatch.setattr(radius, "_crossings", recording)
+        checks = count_mats(monkeypatch, "eigvals")
+        rad = radius_theta_scan(op, 10**5)
+        rungs = len(levels) - 1
+        assert 1 <= rungs <= 10 and checks[0] == 1 + rungs
+        assert all(cross is None or cross.size for _, cross in levels[:-1])
+        assert levels[-1][1].size == 0 and rad.upper == levels[-1][0]
+        gammas = np.array([gamma for gamma, _ in levels])
+        guard = radius._guard(gammas[0], 10**5)
+        steps = np.diff(gammas) / (guard * 4.0 ** np.arange(rungs))
+        assert np.allclose(steps, 3.0, rtol=1e-3)  # guard (4^k - 4^(k-1))
+        assert rad.lower <= op.seminorm / 2.0 <= rad.upper
+        assert rad.lower <= witness_value(op, rad.theta_star) <= rad.upper
+
+    def test_huge_grid_allocates_nothing_of_its_size(self):
+        # 10**7 float64 values would take 80 MB; the scan's peak is kilobytes.
+        op = make_op(*gen_instance(self.SPEC))
+        tracemalloc.start()
+        try:
+            rad = radius_theta_scan(op, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert rad.lower <= rad.upper and rad.upper >= op.seminorm / 2.0
 
 
 class TestPruning:
+    """Angles the scan's seed does not solve still count: the criss-cross
+    pass and the level-set check see the whole profile."""
+
     @pytest.mark.parametrize("grid_n", [181, 720, 1440])
     def test_off_grid_peak_is_not_pruned(self, grid_n):
         # Two nearly equal peaks: the lower one sits on the grid at theta = 0
@@ -630,19 +637,10 @@ class TestPruning:
         assert rad.lower <= 1.0 <= rad.upper
         assert rad.upper <= rad.lower / math.cos(math.pi / (2 * grid_n))
 
-    def test_random_operator_evaluates_few_angles(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        t = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        op = make_op(np.eye(16), t)
-        counted = count_mats(monkeypatch, "eigvalsh")
-        unpolished_grid_scan(monkeypatch, op, 720)
-        assert counted[0] <= 240
-
     def test_flat_profile_evaluates_each_angle_once(self, monkeypatch):
         # A flat profile stops the scan at its level-set check: the seed's 8
         # angles in one call, the polish's single angles, each solved once,
-        # and one eigvals call. The fallback on it solves each of its 720
-        # grid angles once, since a flat profile prunes nothing.
+        # and one eigvals call.
         op = make_op(np.eye(2), JORDAN)
         solved = []
         extremes = radius._extremes
@@ -656,16 +654,6 @@ class TestPruning:
         radius_theta_scan(op, 720)
         assert solved[:8] == (np.arange(8) * (math.pi / 8)).tolist()
         assert len(set(solved)) == len(solved) <= 8 + 12 and calls[0] == 1
-        solved.clear()
-        unpolished_grid_scan(monkeypatch, op, 720)
-        assert sorted(solved) == (np.arange(720) * (math.pi / 720)).tolist()
-
-    def test_odd_grid_is_one_uniform_level(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        op = make_op(np.eye(4), rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        counted = count_mats(monkeypatch, "eigvalsh")
-        unpolished_grid_scan(monkeypatch, op, 181)
-        assert counted[0] == 181
 
 
 @pytest.mark.parametrize("construction", ADJOINTABLE)
