@@ -1,10 +1,11 @@
 """Command line front end.
 
-Subcommands: gen (write an instance), radius (certified enclosure),
-bounds (full inequality report), range (W_A(T) cloud as CSV), verify
-(run the randomized suite). Exit codes: 0 success, 1 counterexample
-found (a `bounds` report or a suite check that does not hold; `bounds`
-names each failed report on stderr), 2 usage error, 3 I/O or format error.
+Subcommands: gen (write an instance), radius (certified enclosure and its
+witness value), bounds (full inequality report), range (W_A(T) cloud as
+CSV), verify (run the randomized suite). Exit codes: 0 success, 1
+counterexample found (a `bounds` report or a suite check that does not
+hold; `bounds` names each failed report on stderr), 2 usage error, 3 I/O
+or format error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import io as aio
 from .bounds import inequality_reports
 from .harness import CONSTRUCTIONS, InstanceSpec, SuiteConfig, gen_instance, run_suite
 from .linalg import LinAlgInputError, TolerancePolicy
-from .radius import radius_sampling, radius_theta_scan, range_cloud
+from .radius import radius_theta_scan, range_cloud, witness_value
 from .space import make_a_operator, psd_decompose
 
 EXIT_OK = 0
@@ -48,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     radius = sub.add_parser("radius", help="certified enclosure of w_A(T)")
     radius.add_argument("--in", dest="infile", required=True)
     radius.add_argument("--grid-n", type=int, default=720)
-    radius.add_argument("--samples", type=int, default=10_000)
-    radius.add_argument("--seed", type=int, default=0)
     radius.add_argument("--out", default=None)
 
     bounds = sub.add_parser("bounds", help="evaluate all inequality reports")
@@ -110,7 +109,7 @@ def _cmd_radius(args) -> int:
     _, _, op = _load_operator(args.infile)
     rad = radius_theta_scan(op, args.grid_n)
     payload = aio.to_dict(rad)
-    payload["sampling_lower"] = radius_sampling(op, args.samples, args.seed)
+    payload["witness_value"] = witness_value(op, rad.theta_star)
     _emit(payload, args.out)
     return EXIT_OK
 

@@ -44,8 +44,8 @@ class ScaleRangeError(LinAlgInputError):
 # with max|C| >= SCALE_MIN and rank(A) max|C| <= SCALE_MAX has SCALE_MIN <=
 # ||C|| <= SCALE_MAX, so w_A(T)^2, ||D||_A and the squared Cartesian-part
 # norms stay below 2^1002, w_A(T)^2 and ||D||_A above 2^-1004, and the
-# scan's guard grid_max / (1000 grid_n^2) above 2^-512 / grid_n^2: normal
-# floats for every grid_n below 2^255.
+# scan's guard, floored at 8 r eps of its maximum best >= ||C|| / 2.1, above
+# 2^-552: normal floats for every grid_n.
 SCALE_MIN, SCALE_MAX = 2.0**-500, 2.0**500
 
 

@@ -9,7 +9,7 @@ the check finds crossings instead, they are the criss-cross iteration's
 next step: f at the midpoints of the arcs between them shows where f
 exceeds the level, the best such arc is polished, and the check repeats at
 the higher maximum. A level stuck by rounding just above a flat or sharp
-peak is raised on a ladder of checks, capped by ||T||_A. In range(A)
+peak climbs rungs of the same loop instead, capped by ||T||_A. In range(A)
 coordinates f is the support function of conv(W u -W), where W = W_A(T)
 is the numerical range of T's compression, so f'' >= -f (``_polish``).
 
@@ -23,6 +23,7 @@ boundary or interior) through ``_quadratic_forms``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +45,12 @@ class RadiusEstimate:
 
     theta_star is the polished maximizer of f on [0, pi), and lower is f
     there minus the guard. grid_n sets only the guard, (1 / grid_n)^2 1e-3
-    of that maximum; no grid of grid_n angles is solved. When the level-set
-    check clears at the maximum plus the guard, that is upper, 2e-3 / grid_n^2
-    relative above lower; the seed's maximum does not depend on grid_n, so a
-    finer grid never loosens what the seed certifies. A level stuck by
-    rounding just above a flat or sharp peak makes upper the first clear
-    rung of best + guard 4^k, or ||T||_A widened by its rounding bound
-    (``radius_theta_scan``).
+    of that maximum, floored at 8 r eps of it; no grid is solved. When the
+    level-set check clears at the maximum plus the guard, that is upper; the
+    seed's maximum does not depend on grid_n, so a finer grid never loosens
+    what the seed certifies. A level stuck by rounding makes upper the first
+    clear rung of best + guard 4^rung, or ||T||_A widened by its rounding
+    bound (``radius_theta_scan``).
     """
 
     lower: float
@@ -152,12 +152,12 @@ def _polish(op: AOperator, x: float, delta: float, fa: float, fx: float, fb: flo
     return theta_star, best
 
 
-def _crossings(op: AOperator, gamma: float, anchor: float = 0.0) -> np.ndarray | None:
+def _crossings(op: AOperator, gamma: float, anchor: float = 0.0) -> np.ndarray:
     """The sorted angles theta in [0, pi) at which gamma is an eigenvalue of
-    H(theta) or of -H(theta), given P + gamma I positive definite for
-    P = H(anchor); None when its Cholesky factor fails, which any
-    gamma > f(anchor) avoids. An empty array means the level is clear:
-    f < gamma on [0, pi).
+    H(theta) or of -H(theta); empty when the level is clear, f < gamma on
+    [0, pi). If P + gamma I, P = H(anchor), has no Cholesky factor, then
+    f(anchor) >= gamma up to rounding, and the array is the one cut point
+    anchor mod pi: not clear, and a cut point only splits an arc.
 
     P and Q = -H(anchor + pi/2) are the Cartesian parts of the compression
     of e^{i anchor} T, so H(anchor + psi) = cos(psi) P - sin(psi) Q. Why no
@@ -193,7 +193,7 @@ def _crossings(op: AOperator, gamma: float, anchor: float = 0.0) -> np.ndarray |
     q = 2 |Im s| / (1 + |s|^2), and a root s0 + ds with real s0 has
     q <= 2 |ds|. So every crossing is computed with q <= tau = 2 rho, and
     every s with q <= tau is returned as one. A spurious crossing costs
-    only a criss-cross pass or a ladder rung of ``radius_theta_scan``; a
+    only a criss-cross pass or a rung of ``radius_theta_scan``; a
     missed one would be a narrow, wrong enclosure, which is why tau takes
     the square-root law even for simple roots.
 
@@ -216,7 +216,7 @@ def _crossings(op: AOperator, gamma: float, anchor: float = 0.0) -> np.ndarray |
     try:
         chol = np.linalg.cholesky(p + gamma * np.eye(r))
     except np.linalg.LinAlgError:  # gamma <= -lambda_min(P) up to rounding
-        return None
+        return np.array([anchor % math.pi])
     inv = np.linalg.inv(chol)
     b0 = np.eye(r) - (2.0 * gamma) * (inv @ inv.conj().T)
     b1 = -2.0 * (inv @ q @ inv.conj().T)
@@ -228,47 +228,47 @@ def _crossings(op: AOperator, gamma: float, anchor: float = 0.0) -> np.ndarray |
 
 
 def _guard(value: float, grid_n: int) -> float:
-    """value (1 / grid_n)^2 1e-3, taken from lower and added to upper: far
-    above eigh rounding noise at the default grid_n = 720."""
-    return value * (math.pi / grid_n / math.pi) ** 2 * 1e-3
+    """value (1 / grid_n)^2 1e-3, the guard's grid term, which
+    ``radius_theta_scan`` floors at 8 r eps value. grid_n is clamped at
+    2^64, where the floor dominates, so no grid_n overflows a float."""
+    n = min(grid_n, 2**64)
+    return value * (math.pi / n / math.pi) ** 2 * 1e-3
 
 
 def radius_theta_scan(op: AOperator, grid_n: int = 720) -> RadiusEstimate:
-    """Certified enclosure of w_A(T) from a small seed, a polish and a
-    criss-cross iteration on the level-set check's own crossings.
+    """Certified enclosure of w_A(T) from a small seed, a polish and one
+    loop of level-set checks at the levels best + guard 4^rung.
 
     The scan solves the 8 angles k pi / 8 in one batch, polishes the best of
     them inside its +-pi/8 bracket (``_polish``) to best = f(theta_star),
-    and asks ``_crossings`` where gamma = best + guard is an eigenvalue of
-    +-H(theta). If nowhere, f < gamma everywhere and the enclosure is
-    [best - guard, best + guard]. The check's anchor is the seed direction
-    (an angle or its antipode) whose H has the largest lambda_min, so
-    H(anchor) + gamma I is as far from singular as the seed shows.
+    and asks ``_crossings`` where the level gamma, rung 0 first, is an
+    eigenvalue of +-H(theta). If nowhere, f < gamma everywhere and the
+    enclosure is [best - guard, gamma]. The check's anchor is the seed
+    direction (an angle or its antipode) whose H has the largest lambda_min,
+    so H(anchor) + gamma I is as far from singular as the seed shows.
     Otherwise the crossings cut the circle of period pi into arcs, on each
     of which f - gamma keeps one sign (Mengi & Overton, 2005). f is solved
     at the crossings and the arc midpoints in one batch, and the arc with
     the highest midpoint above gamma is polished, the arc itself the
-    bracket. Every seed angle has f <= best < gamma, so such an arc lies
-    between two of them and is narrower than pi/8, the seed's own bracket.
-    best then rises by more than a guard and the check repeats, so the loop
-    ends.
+    bracket: best rises by more than a guard, and the loop checks again.
 
     When no midpoint is above gamma, the level is stuck: its crossings are
-    near-real roots within the rounding bound that sit just above a flat or
-    sharp peak (or P + gamma I has no Cholesky factor). upper then climbs the
-    ladder best + guard 4^k, k = 1, 2, ..., one check per rung, to the first
-    clear rung. The ladder stops at the A-seminorm ||T||_A >= w_A(T),
-    widened by 8 r eps: LAPACK's SVD and eigvalsh put each computed sigma
-    and lambda within a modest multiple of r eps ||T||_A of the exact one.
-    ||T||_A <= ||H_re|| + ||H_im|| <= 2 best, so 6 + log2(grid_n) rungs
-    reach it; at most 63 are tried. Every upper comes from a clear check or
-    from that norm, and lower is best - guard either way.
+    near-real roots within the rounding bound just above a flat or sharp
+    peak, or the cut point of a failed Cholesky factor. It climbs one rung,
+    unless best + guard 4^rung reaches the cap ||T||_A (1 + rho),
+    rho = 8 r eps, which is then upper: ||T||_A >= w_A(T), and LAPACK's
+    SVD computes it within a modest multiple of r eps ||T||_A. The cap is
+    read only on a climb, so it never clamps rung 0. Every upper comes from
+    a clear check or the cap; lower is best - guard.
 
-    grid_n sets only the guard, best (1 / grid_n)^2 1e-3, and so the
-    certified width, 2e-3 / grid_n^2 relative whenever the check clears at
-    best + guard; nothing of size grid_n is solved or stored. The seed does
-    not depend on grid_n, so best is the same at every grid: when the seed
-    certifies both scans, doubling the grid only narrows the enclosure.
+    grid_n sets only the guard, best (1 / grid_n)^2 1e-3 floored at
+    rho best, and so the certified width, 2e-3 / grid_n^2 relative when
+    rung 0 clears above the floor; nothing of size grid_n is solved or
+    stored. The floor ends the climb for every grid_n: the seed lies within
+    pi/16 of the maximizer, so best >= w_A(T) cos(pi/16), and ||T||_A <=
+    2 w_A(T), so at most ceil(log4(1.05 / rho)) + 1 <= 26 rungs are climbed.
+    The seed does not depend on grid_n: when it certifies both scans,
+    doubling the grid only narrows the enclosure around the same best.
     """
     grid_n = as_count(grid_n, "grid_n", 4)
     step = math.pi / 8
@@ -280,31 +280,26 @@ def radius_theta_scan(op: AOperator, grid_n: int = 720) -> RadiusEstimate:
     # lambda_min of H(k pi / 8) for k < 8, then of H(k pi / 8 + pi) = -H(k pi / 8).
     anchor = int(np.argmax(np.concatenate([lam[:, 0], -lam[:, 1]]))) * step
     theta_star, best = _polish(op, j * step, step, float(vals[j - 1]), float(vals[j]), float(vals[(j + 1) % 8]))
+    rho = 8 * op.ctx.rank * sys.float_info.epsilon
+    rung = 0
     while True:
-        guard = _guard(best, grid_n)
-        cross = _crossings(op, best + guard, anchor)
-        if cross is None:
-            break
+        guard = max(_guard(best, grid_n), rho * best)
+        level = best + guard * 4**rung
+        cross = _crossings(op, level, anchor)
         if not cross.size:
-            return RadiusEstimate(max(best - guard, 0.0), best + guard, theta_star % math.pi, grid_n)
+            return RadiusEstimate(best - guard, level, theta_star % math.pi, grid_n)
         half = np.diff(np.append(cross, cross[0] + math.pi)) / 2.0  # the last arc wraps around
         mids = cross + half
         f_cross, f_mid = np.split(_magnitude(_extremes(op, np.concatenate([cross, mids]))), 2)
         k = int(np.argmax(f_mid))
-        if f_mid[k] <= best + guard:
-            break
-        fa, fb = float(f_cross[k]), float(f_cross[(k + 1) % cross.size])
-        theta_star, best = _polish(op, float(mids[k]), float(half[k]), fa, float(f_mid[k]), fb)
-    lower, theta_star = max(best - guard, 0.0), theta_star % math.pi
-    cap = op.seminorm * (1.0 + 8 * op.ctx.rank * np.finfo(float).eps)
-    for k in range(1, 64):
-        level = best + guard * 4.0**k
-        if level >= cap:
-            break
-        cross = _crossings(op, level, anchor)
-        if cross is not None and not cross.size:
-            return RadiusEstimate(lower, level, theta_star, grid_n)
-    return RadiusEstimate(lower, cap, theta_star, grid_n)
+        if f_mid[k] > level:
+            fa, fb = float(f_cross[k]), float(f_cross[(k + 1) % cross.size])
+            theta_star, best = _polish(op, float(mids[k]), float(half[k]), fa, float(f_mid[k]), fb)
+            continue
+        rung += 1
+        cap = op.seminorm * (1.0 + rho)
+        if best + guard * 4**rung >= cap:
+            return RadiusEstimate(best - guard, cap, theta_star % math.pi, grid_n)
 
 
 def witness_value(op: AOperator, theta: float) -> float:
@@ -460,8 +455,8 @@ def _is_disk(op: AOperator, k: float, rad: RadiusEstimate | None = None) -> bool
 
     (i) is read as w_A(T) <= k (1 + tol): False when rad.lower exceeds that
     level, True when rad.upper does not, else it holds when ``_crossings``
-    finds no crossing of that level; a
-    k < 0 fails, as w_A(T) >= 0. (ii) is read as h >= k (1 - tol), from
+    returns no angle (nor the cut point of a failed factor) for that level;
+    a k < 0 fails, as w_A(T) >= 0. (ii) is read as h >= k (1 - tol), from
     one eigvalsh of H(0.7) and H(2.1). Hermitian eigenvalues are perfectly
     conditioned (Weyl): they round by a few r eps ||H||, far below tol k.
     det(H(z) - k I) = 0 at a non-real z would not be: H(z) is far from
@@ -480,8 +475,7 @@ def _is_disk(op: AOperator, k: float, rad: RadiusEstimate | None = None) -> bool
     if rad is not None and rad.lower > level:
         return False
     if rad is None or rad.upper > level:
-        cross = _crossings(op, level)
-        if cross is None or cross.size:
+        if _crossings(op, level).size:
             return False
     support = _extremes(op, _DISK_ANGLES) * np.array([-1.0, 1.0])  # h(theta + pi) and h(theta)
     return bool((support >= k * (1.0 - tol)).all())

@@ -79,7 +79,7 @@ class TestRadius:
         payload = json.loads(out.read_text())
         assert payload["lower"] <= 0.5 <= payload["upper"]
         assert payload["upper"] - payload["lower"] <= 1e-5
-        assert payload["sampling_lower"] <= payload["upper"]
+        assert payload["lower"] <= payload["witness_value"] <= payload["upper"]
 
     def test_missing_file(self, tmp_path):
         assert main(["radius", "--in", str(tmp_path / "nope.json")]) == EXIT_IO
@@ -120,7 +120,6 @@ class TestRadius:
 
     def test_tiny_grid_is_usage_error(self, jordan_file):
         assert main(["radius", "--in", str(jordan_file), "--grid-n", "2"]) == EXIT_USAGE
-        assert main(["radius", "--in", str(jordan_file), "--samples", "-5"]) == EXIT_USAGE
 
 
 class TestBounds:
@@ -289,6 +288,13 @@ class TestVerify:
         for flags in (["--grid-n", "3"], ["--samples", "1000"]):
             assert main(["verify", "--n", "0", *flags, "--out", str(out)]) == EXIT_USAGE
             assert not out.exists()
+
+    def test_grid_beyond_float_range_is_no_counterexample(self, tmp_path):
+        # A grid_n past the float range once ended in an OverflowError from
+        # the guard, and so in exit 1, the code for a counterexample.
+        out = tmp_path / "suite.json"
+        assert main(["verify", "--n", "2", "--grid-n", "1" + "0" * 400, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["counterexamples"] == []
 
     def test_dims_outside_instance_range_is_usage_error(self, tmp_path):
         out = tmp_path / "suite.json"

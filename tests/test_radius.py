@@ -138,8 +138,18 @@ def flat_at_45_angles(op):
 
 def clear(op, gamma, anchor=0.0):
     """Whether the level-set check finds no crossing of gamma."""
-    cross = radius._crossings(op, gamma, anchor)
-    return cross is not None and cross.size == 0
+    return radius._crossings(op, gamma, anchor).size == 0
+
+
+def factor_fails(op, gamma, anchor):
+    """Whether P + gamma I has no Cholesky factor, P = H(anchor) built as
+    the level-set check builds it."""
+    p = math.cos(anchor) * op.h_re - math.sin(anchor) * op.h_im
+    try:
+        np.linalg.cholesky(p + gamma * np.eye(op.ctx.rank))
+    except np.linalg.LinAlgError:
+        return True
+    return False
 
 
 def record_profile_calls(monkeypatch):
@@ -558,17 +568,18 @@ def test_level_check_finds_every_crossing_below_the_radius(levels_below_the_radi
 def test_every_crossing_is_a_crossing(levels_below_the_radius):
     # Each angle that the check returns makes gamma an eigenvalue of H(theta)
     # or of -H(theta), H built from C directly: to within 32 r eps ||H(theta)||,
-    # at the anchors 0 and 3 pi / 8 (where P + gamma I is not definite the
-    # check returns None, and there is nothing to test). The worst of 2,798
-    # angles reads 15.7 r eps, 7.0e-15 relative. A rotation of the wrong
-    # sign, theta = anchor - 2 arctan(s), misses by far more.
+    # at the anchors 0 and 3 pi / 8 (where P + gamma I has no Cholesky
+    # factor the check returns the anchor's cut point, which
+    # test_failed_factor_returns_the_anchor_cut_point covers). The worst of
+    # 2,798 angles reads 15.7 r eps, 7.0e-15 relative. A rotation of the
+    # wrong sign, theta = anchor - 2 arctan(s), misses by far more.
     eps = np.finfo(float).eps
     angles = 0
     for op, gamma in levels_below_the_radius:
         for anchor in (0.0, 3 * math.pi / 8):
-            cross = radius._crossings(op, gamma, anchor)
-            if cross is None:
+            if factor_fails(op, gamma, anchor):
                 continue
+            cross = radius._crossings(op, gamma, anchor)
             assert np.all(np.diff(cross) >= 0.0) and np.all((0.0 <= cross) & (cross < math.pi))
             spectra = support_spectra(op, cross)
             norms = np.abs(spectra).max(axis=1)
@@ -578,12 +589,29 @@ def test_every_crossing_is_a_crossing(levels_below_the_radius):
     assert angles >= 2_000
 
 
+def test_failed_factor_returns_the_anchor_cut_point(levels_below_the_radius):
+    # Where P + gamma I has no Cholesky factor, the check returns exactly the
+    # cut point anchor mod pi, and the level is not clear there: f(anchor)
+    # reaches gamma up to rounding. The Hermitian diag(1, -1) at gamma = 1/2
+    # fails at the anchors 0 and 9 pi / 8, the latter taken mod pi.
+    eps = np.finfo(float).eps
+    herm = make_op(np.eye(2), np.diag([1.0, -1.0]))
+    cases = [(herm, 0.5, 0.0), (herm, 0.5, 9 * math.pi / 8)]
+    for op, gamma in levels_below_the_radius:
+        cases += [(op, gamma, anchor) for anchor in (0.0, 3 * math.pi / 8) if factor_fails(op, gamma, anchor)]
+    assert len(cases) > 2
+    for op, gamma, anchor in cases:
+        assert factor_fails(op, gamma, anchor)
+        assert radius._crossings(op, gamma, anchor).tolist() == [anchor % math.pi]
+        assert phase_profile(op, anchor)[0] >= gamma * (1.0 - 32 * op.ctx.rank * eps)
+
+
 class TestLadder:
     """A level stuck just above a flat profile: at grid_n = 10**5 the guard
     is 1e-13 relative, and the seed-42 suite's first nilpotent_half
     instance, whose f is w = ||T||_A / 2 at every angle, leaves near-real
     roots within the rounding bound with f below the level between them.
-    upper climbs the ladder best + guard 4^k to the first clear rung."""
+    upper climbs the rungs best + guard 4^rung to the first clear one."""
 
     SPEC = InstanceSpec(dim=2, rank_a=2, construction="nilpotent_half", seed=42000126)
 
@@ -601,7 +629,7 @@ class TestLadder:
         rad = radius_theta_scan(op, 10**5)
         rungs = len(levels) - 1
         assert 1 <= rungs <= 10 and checks[0] == 1 + rungs
-        assert all(cross is None or cross.size for _, cross in levels[:-1])
+        assert all(cross.size for _, cross in levels[:-1])
         assert levels[-1][1].size == 0 and rad.upper == levels[-1][0]
         gammas = np.array([gamma for gamma, _ in levels])
         guard = radius._guard(gammas[0], 10**5)
@@ -621,6 +649,43 @@ class TestLadder:
             tracemalloc.stop()
         assert peak < 10**6
         assert rad.lower <= rad.upper and rad.upper >= op.seminorm / 2.0
+
+
+class TestGuardFloor:
+    """Past grid_n ~ 10**6 the grid term of the guard sinks below the
+    rounding bound 8 r eps of the cap, and the guard stays at that floor:
+    the enclosure stops narrowing, and the rung count stays bounded."""
+
+    @pytest.mark.parametrize("grid_n", [10**6, 10**7])
+    def test_witness_inside_the_enclosure(self, grid_n):
+        # A guard below rounding put lower above the raw witness value, as
+        # lower 2.2322971840812396 > 2.232297184081239 at grid_n = 10**6.
+        # Compared raw, with no tolerance.
+        op = make_op(*gen_instance(InstanceSpec(dim=6, rank_a=3, construction="random", seed=42000130)))
+        rad = radius_theta_scan(op, grid_n)
+        assert rad.lower <= witness_value(op, rad.theta_star) <= rad.upper
+
+    def test_huge_grid_is_narrow_and_cheap(self, monkeypatch):
+        # At grid_n = 10**150 the guard is the floor on every scan: each
+        # enclosure stays 1e-10 relative wide at most (1.5e-11 is the widest
+        # of the 600 seed-42 adjointable scans), in at most 8 eigvals calls.
+        # Without the floor the widest of those 600 read 0.50, and one took 66.
+        calls = count_mats(monkeypatch, "eigvals")
+        for construction in ADJOINTABLE:
+            for spec in SuiteConfig(seed=42, constructions=(construction,)).instance_specs()[:10]:
+                op = make_op(*gen_instance(spec))
+                calls[0] = 0
+                rad = radius_theta_scan(op, 10**150)
+                assert rad.upper - rad.lower <= 1e-10 * rad.upper
+                assert calls[0] <= 8
+
+    def test_grid_beyond_float_range(self):
+        # 10**400 has no float; the grid term is taken at grid_n = 2^64.
+        op = make_op(*gen_instance(TestLadder.SPEC))
+        rad = radius_theta_scan(op, 10**400)
+        assert rad.grid_n == 10**400
+        assert 0.0 < rad.upper - rad.lower <= 1e-10 * rad.upper
+        assert rad.lower <= op.seminorm / 2.0 <= rad.upper
 
 
 class TestPruning:
